@@ -173,20 +173,24 @@ func (m *Monitor) Finish() (*Snapshot, error) {
 	m.mu.Lock()
 	recs := append([]telemetry.Record(nil), m.recs...)
 	m.mu.Unlock()
-	return Analyze(recs, m.cfg)
+	return analyze(recs, m.cfg)
 }
 
 // Analyze runs the full monitoring pass over a record set (live-captured
 // or parsed from JSONL — both paths land here). The input order is
-// irrelevant: records are sorted into the exporter's deterministic order
-// first.
+// irrelevant: records are sorted into the exporter's canonical order
+// (telemetry.SortRecords) first. records itself is left untouched.
 func Analyze(records []telemetry.Record, cfg Config) (*Snapshot, error) {
+	return analyze(append([]telemetry.Record(nil), records...), cfg)
+}
+
+// analyze is Analyze over a slice it owns: recs is sorted in place.
+func analyze(recs []telemetry.Record, cfg Config) (*Snapshot, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	recs := append([]telemetry.Record(nil), records...)
-	sortRecords(recs)
+	telemetry.SortRecords(recs)
 
 	a := &analysis{
 		cfg:        cfg,

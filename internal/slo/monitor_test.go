@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -171,50 +172,110 @@ func TestMonitorDoesNotPerturbCRAN(t *testing.T) {
 	}
 }
 
-// TestOfflineAnalysisMatchesLive: analyzing the exported JSONL must
-// reproduce the live monitor's snapshot exactly — the slotool path and
-// the in-process path are the same computation.
+// TestOfflineAnalysisMatchesLive: analyzing the exported JSONL, or the
+// tracer's records in reverse order, must reproduce the live monitor's
+// snapshot exactly — the slotool path and the in-process path are the
+// same computation, over a plain fleet and over the sharded C-RAN tier
+// (shard labels, router-shed events).
 func TestOfflineAnalysisMatchesLive(t *testing.T) {
-	reqs := uniformRequests(t, 4, 6, 100, 0)
-	tr := telemetry.NewTracer()
 	cfg := Config{Specs: DefaultSpecs(4000)}
-	m := NewMonitor(cfg)
-	tr.AddSink(m)
-	if _, err := fleet.Serve(context.Background(), fleet.Config{
-		Devices: logicalDevices(3), NumReads: 4, Seed: 9, Trace: tr,
-	}, reqs); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		sharded bool
+		serve   func(t *testing.T, tr *telemetry.Tracer) error
+	}{
+		{"fleet", false, func(t *testing.T, tr *telemetry.Tracer) error {
+			_, err := fleet.Serve(context.Background(), fleet.Config{
+				Devices: logicalDevices(3), NumReads: 4, Seed: 9, Trace: tr,
+			}, uniformRequests(t, 4, 6, 100, 0))
+			return err
+		}},
+		{"cran", true, func(t *testing.T, tr *telemetry.Tracer) error {
+			res, err := cran.Serve(context.Background(), cran.Config{
+				Shards:           [][]fleet.Device{logicalDevices(2), logicalDevices(1)},
+				Fleet:            fleet.Config{NumReads: 4, BatchMax: 2},
+				AdmitQueueMicros: 150, EstReadMicros: 125,
+				Seed: 7, Trace: tr,
+			}, burstRequests(t, 6, 4))
+			if err == nil && res.Report.RouterShed == 0 {
+				t.Fatal("no router-shed frames in the cran case")
+			}
+			return err
+		}},
 	}
-	live, err := m.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := telemetry.NewTracer()
+			m := NewMonitor(cfg)
+			tr.AddSink(m)
+			if err := c.serve(t, tr); err != nil {
+				t.Fatal(err)
+			}
+			live, err := m.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	recs, stats, err := ParseTrace(bytes.NewReader(traceJSONL(t, tr)), true)
-	if err != nil {
-		t.Fatal(err)
+			recs, stats, err := ParseTrace(bytes.NewReader(traceJSONL(t, tr)), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Skipped != 0 || stats.Duplicates != 0 {
+				t.Fatalf("clean trace parsed dirty: %+v", stats)
+			}
+			reversed := tr.Records()
+			slices.Reverse(reversed)
+			for _, in := range []struct {
+				name string
+				recs []telemetry.Record
+			}{{"parsed JSONL", recs}, {"reversed records", reversed}} {
+				offline, err := Analyze(in.recs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(live, offline) {
+					t.Fatalf("%s: offline analysis diverged from live:\nlive:    %+v\noffline: %+v",
+						in.name, live.Tier, offline.Tier)
+				}
+				var dashLive, dashOffline bytes.Buffer
+				if err := live.WriteDashboard(&dashLive); err != nil {
+					t.Fatal(err)
+				}
+				if err := offline.WriteDashboard(&dashOffline); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dashLive.Bytes(), dashOffline.Bytes()) {
+					t.Fatalf("%s: dashboards diverged", in.name)
+				}
+			}
+			if c.sharded && len(live.Shards) == 0 {
+				t.Fatal("no per-shard SLIs from a sharded run")
+			}
+		})
 	}
-	if stats.Skipped != 0 || stats.Duplicates != 0 {
-		t.Fatalf("clean trace parsed dirty: %+v", stats)
-	}
-	offline, err := Analyze(recs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, offline) {
-		t.Fatalf("offline analysis diverged from live:\nlive:    %+v\noffline: %+v", live.Tier, offline.Tier)
-	}
+}
 
-	var dashLive, dashOffline bytes.Buffer
-	if err := live.WriteDashboard(&dashLive); err != nil {
-		t.Fatal(err)
+// burstRequests is a C-RAN load of cells×perCell frames landing within a
+// few μs of each other, enough to push a shard past a tight admission
+// bound.
+func burstRequests(t testing.TB, cells, perCell int) []cran.Request {
+	t.Helper()
+	probs := testProblems(t)
+	var reqs []cran.Request
+	for cell := 0; cell < cells; cell++ {
+		for q := 0; q < perCell; q++ {
+			p := probs[(cell+q)%len(probs)]
+			init := make([]int8, p.N)
+			for i := range init {
+				init[i] = 1
+			}
+			reqs = append(reqs, cran.Request{
+				Cell: cell, UE: q % 2, Seq: q / 2,
+				Arrival: float64(q)*5 + float64(cell), Problem: p, InitialState: init,
+			})
+		}
 	}
-	if err := offline.WriteDashboard(&dashOffline); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dashLive.Bytes(), dashOffline.Bytes()) {
-		t.Fatal("dashboards diverged")
-	}
+	return reqs
 }
 
 // TestCriticalPathTilesLatency: on a real fleet trace, every served

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -53,9 +52,9 @@ func (r Record) Duration() float64 { return r.T1 - r.T0 }
 // the stream without touching it, so an attached sink can never perturb
 // results or the exported trace. Records arrive in HOST-SCHEDULING order
 // (parallel emitters interleave arbitrarily); a sink that needs the
-// deterministic order must bucket by simulated time or sort on Finish,
-// exactly as Records() does. Implementations must be safe for concurrent
-// calls and must not mutate the record's Attrs map.
+// deterministic order must bucket by simulated time or sort on Finish
+// with SortRecords, exactly as Records() does. Implementations must be
+// safe for concurrent calls and must not mutate the record's Attrs map.
 type RecordSink interface {
 	ObserveRecord(Record)
 }
@@ -136,10 +135,10 @@ func (t *Tracer) Len() int {
 	return len(t.records)
 }
 
-// Records returns a deterministically ordered copy of the collected
-// records. Parallel emitters append in host-scheduling order, so the copy
-// is sorted by (T0, Name, marshaled attrs) — the record SET is
-// deterministic for a fixed seed, hence so is the sorted sequence.
+// Records returns a copy of the collected records in the canonical order
+// (see SortRecords). Parallel emitters append in host-scheduling order,
+// but the record SET is deterministic for a fixed seed, hence so is the
+// sorted sequence.
 func (t *Tracer) Records() []Record {
 	if t == nil {
 		return nil
@@ -147,17 +146,7 @@ func (t *Tracer) Records() []Record {
 	t.mu.Lock()
 	out := append([]Record(nil), t.records...)
 	t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].T0 != out[j].T0 {
-			return out[i].T0 < out[j].T0
-		}
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		ai, _ := json.Marshal(out[i].Attrs)
-		aj, _ := json.Marshal(out[j].Attrs)
-		return string(ai) < string(aj)
-	})
+	SortRecords(out)
 	return out
 }
 

@@ -30,6 +30,8 @@ else
         -bench 'BenchmarkFleetServe|BenchmarkEnsembleDetect' -benchtime=1x ./internal/fleet/ >/dev/null
     BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
         -bench 'BenchmarkCRANServe' -benchtime=1x ./internal/cran/ >/dev/null
+    BENCH_JSON_DIR="$FRESH_DIR" go test -run '^$' \
+        -bench 'BenchmarkMonitorFinish' -benchtime=1x ./internal/slo/ >/dev/null
 fi
 
 # ns_per_op lives on its own line in records written by
