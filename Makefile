@@ -7,9 +7,9 @@ GO ?= go
 # tighter cap than the local default so the leg stays inside its slot.
 VALIDATE_MAX_READS ?= 30000
 
-.PHONY: check vet build test race race-fleet race-cran race-hybrid race-ensemble fuzz-smoke slo fmt validate update-golden cover
+.PHONY: check vet build test race fuzz-smoke slo fmt validate update-golden cover
 
-check: vet build test race race-fleet race-cran race-hybrid race-ensemble fuzz-smoke slo
+check: vet build test race fuzz-smoke slo
 
 vet:
 	$(GO) vet ./...
@@ -20,31 +20,11 @@ build:
 test:
 	$(GO) test ./...
 
+# One race-enabled, uncached pass over every package: it covers the
+# fleet, C-RAN, heterogeneous-backend and ensemble determinism batteries
+# that used to be re-run as separate subsets.
 race:
-	$(GO) test -race ./...
-
-# The fleet scheduler's determinism and stress suites are the lock on the
-# multi-QPU serving path; run them race-enabled and uncached every time.
-race-fleet:
-	$(GO) test -race -count=1 ./internal/fleet/
-
-# Same lock one level up: the C-RAN tier's cross-shard failover, shared
-# telemetry merge, and determinism battery under the race detector.
-race-cran:
-	$(GO) test -race -count=1 ./internal/cran/
-
-# Heterogeneous-backend stress: concurrent mixed-backend Serves with
-# hybrid routing, mid-flight classical-backend death, cancellation, and
-# the mixed-pool determinism battery — all under the race detector.
-race-hybrid:
-	$(GO) test -race -count=1 -run 'Hybrid|Hetero|Backend|Route' ./internal/fleet/
-
-# Flexible-parallelism ensemble lock: the K×G arm planner and grouped
-# batching, multi-initial-state prepared runs, fusion purity, and the
-# ensemble determinism battery — all under the race detector.
-race-ensemble:
-	$(GO) test -race -count=1 -run 'Ensemble|FuseLLR|RunPreparedMulti|TopKCandidates|PlanArms|SpGrid' \
-		./internal/core/ ./internal/mimo/ ./internal/annealer/ ./internal/fleet/ ./internal/pipeline/
+	$(GO) test -race -count=1 ./...
 
 # Run every fuzz target's seed corpus (no open-ended fuzzing): catches
 # regressions on the known-interesting inputs in CI time.

@@ -319,6 +319,15 @@ func solve(name string, inst *instance.Instance, cfg core.AnnealConfig, reads in
 		return red.DecodeSpins(sol.Spins), fmt.Sprintf("ΔE%%: %.3f\n", deltaOf(sol.Energy)), nil
 	}
 
+	// The "+ra" solvers are the §4.1 prototype: one reverse anneal
+	// seeded by the named classical module.
+	ra := func(m core.ClassicalModule) (*core.Outcome, error) {
+		eo, err := (&core.Ensemble{Classical: m, SpGrid: []float64{sp}, NumReads: reads, Config: cfg, FallbackOnFault: fallback}).Solve(red, r)
+		if err != nil {
+			return nil, err
+		}
+		return &eo.Outcome, nil
+	}
 	var out *core.Outcome
 	var err error
 	switch strings.ToLower(name) {
@@ -327,11 +336,11 @@ func solve(name string, inst *instance.Instance, cfg core.AnnealConfig, reads in
 	case "fr":
 		out, err = (&core.ForwardReverseSolver{NumReads: reads, Sp: sp, Config: cfg}).Solve(red, r)
 	case "gs+ra":
-		out, err = (&core.Hybrid{Sp: sp, NumReads: reads, Config: cfg, FallbackOnFault: fallback}).Solve(red, r)
+		out, err = ra(core.GreedyModule{})
 	case "zf+ra":
-		out, err = (&core.Hybrid{Classical: core.DetectorModule{Detector: mimo.ZeroForcing{}}, Sp: sp, NumReads: reads, Config: cfg, FallbackOnFault: fallback}).Solve(red, r)
+		out, err = ra(core.DetectorModule{Detector: mimo.ZeroForcing{}})
 	case "random+ra":
-		out, err = (&core.Hybrid{Classical: core.RandomModule{}, Sp: sp, NumReads: reads, Config: cfg, FallbackOnFault: fallback}).Solve(red, r)
+		out, err = ra(core.RandomModule{})
 	case "fa+descent":
 		out, err = (&core.PostProcessing{Forward: core.ForwardSolver{NumReads: reads, Config: cfg}}).Solve(red, r)
 	case "co":

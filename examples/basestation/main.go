@@ -40,7 +40,7 @@ func main() {
 	type detectFn func(in *instance.Instance, r *rng.Source) ([]complex128, error)
 	r := rng.New(2024)
 	hybrid := func(in *instance.Instance, r *rng.Source) ([]complex128, error) {
-		out, err := (&core.Hybrid{NumReads: 150}).Solve(in.Reduction, r)
+		out, err := (&core.Ensemble{NumReads: 150}).Solve(in.Reduction, r)
 		if err != nil {
 			return nil, err
 		}

@@ -42,10 +42,10 @@ func main() {
 			// overlap with the quantum stage is visible.
 			MicrosFor: func(n int) float64 { return 70 },
 		},
-		&pipeline.QuantumStage{
-			NumReads: 60,
-			Config:   core.AnnealConfig{},
-			Rng:      rng.New(2),
+		&pipeline.EnsembleStage{
+			ReadsPerArm: 60,
+			Config:      core.AnnealConfig{},
+			Rng:         rng.New(2),
 		},
 	}
 	p := &pipeline.Pipeline{Stages: stages, BufferSize: 1}

@@ -35,7 +35,7 @@ func main() {
 	// 2. Solve with the hybrid: greedy search produces a candidate, which
 	//    programs the initial state of a reverse anneal on the simulated
 	//    quantum annealer; the best sample is the detection.
-	hybrid := &core.Hybrid{NumReads: 200}
+	hybrid := &core.Ensemble{NumReads: 200}
 	out, err := hybrid.Solve(inst.Reduction, rng.New(42))
 	if err != nil {
 		log.Fatal(err)

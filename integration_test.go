@@ -29,7 +29,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := (&core.Hybrid{NumReads: 200}).Solve(inst.Reduction, rng.New(42))
+	out, err := (&core.Ensemble{NumReads: 200}).Solve(inst.Reduction, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +40,18 @@ func TestQuickstartFlow(t *testing.T) {
 	if d > 1e-6 {
 		t.Fatalf("quickstart best ΔE%% = %v", d)
 	}
+}
+
+// hybridSolver adapts the single-arm detector to the solver zoo's
+// Outcome-returning interface.
+type hybridSolver struct{ *core.Ensemble }
+
+func (h hybridSolver) Solve(red *mimo.Reduction, r *rng.Source) (*core.Outcome, error) {
+	out, err := h.Ensemble.Solve(red, r)
+	if err != nil {
+		return nil, err
+	}
+	return &out.Outcome, nil
 }
 
 // TestSolverZooConsistency: every solver type produces a valid symbol
@@ -59,7 +71,7 @@ func TestSolverZooConsistency(t *testing.T) {
 		Solve(*mimo.Reduction, *rng.Source) (*core.Outcome, error)
 	}
 	solvers := []outcomeSolver{
-		&core.Hybrid{NumReads: 60},
+		hybridSolver{&core.Ensemble{NumReads: 60}},
 		&core.ForwardSolver{NumReads: 60},
 		&core.ForwardReverseSolver{NumReads: 40},
 		&core.PostProcessing{Forward: core.ForwardSolver{NumReads: 40}},
@@ -148,10 +160,11 @@ func TestCodedLinkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, spinLLRs, err := (&core.Hybrid{NumReads: 80}).SolveSoft(red, 0, ur.SplitString("hy"))
+		out, err := (&core.Ensemble{NumReads: 80}).Solve(red, ur.SplitString("hy"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		spinLLRs := out.FusedLLRs
 		for u := 0; u < users; u++ {
 			for b := 0; b < scheme.BitsPerSymbol(); b++ {
 				llrs = append(llrs, spinLLRs[mimo.BitLLR{User: u, Bit: b}.SpinIndex(red)])

@@ -2,7 +2,7 @@
 // soft-decision Viterbi decoding — the link-layer substrate around the
 // paper's detector: the ARQ turn-around that motivates its latency
 // budget exists because frames are coded, decoded, and acknowledged, and
-// a soft-output detector (core.SampleSoftOutput) only pays off if a
+// a soft-output detector (core.EnsembleOutcome.FusedLLRs) only pays off if a
 // soft-input decoder consumes the LLRs.
 package coding
 

@@ -5,7 +5,10 @@
 // classical module (Greedy Search by default, or any detector/heuristic)
 // produces a candidate solution that programs the initial state of a
 // Reverse Annealing run on the (simulated) quantum annealer; the best
-// anneal sample is the detection output. The package also provides the
+// anneal sample is the detection output. That prototype is the zero
+// value of Ensemble, the package's one reverse-anneal detector, whose
+// wider settings fan a frame into K candidates × an s_p grid of arms
+// and fuse their reads into soft output. The package also provides the
 // other two coordination structures Figure 1 sketches — post-processing
 // (quantum first, classical refinement after) and co-processing
 // (alternating rounds) — plus the s_p parameter search of Challenge 2.

@@ -42,9 +42,8 @@ func TestModuleNames(t *testing.T) {
 			t.Fatalf("module %d name %q, want %q", i, m.Name(), want[i])
 		}
 	}
-	h := &Hybrid{}
-	if h.Name() != "gs+ra" {
-		t.Fatalf("hybrid name %q", h.Name())
+	if name := (&Ensemble{}).Name(); name != "gs+ra" {
+		t.Fatalf("hybrid name %q", name)
 	}
 	if (&ForwardSolver{}).Name() != "fa" || (&ForwardReverseSolver{}).Name() != "fr" {
 		t.Fatal("solver names wrong")
@@ -90,7 +89,7 @@ func TestFixedModuleValidatesLength(t *testing.T) {
 // the transmitted symbols on an easy noiseless instance.
 func TestHybridSolvesNoiselessInstance(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 4, 5)
-	h := &Hybrid{NumReads: 30, Config: fastCfg()}
+	h := &Ensemble{NumReads: 30, Config: fastCfg()}
 	out, err := h.Solve(inst.Reduction, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +116,7 @@ func TestHybridSolvesNoiselessInstance(t *testing.T) {
 // candidate when no anneal sample beats it.
 func TestHybridNeverWorseThanClassical(t *testing.T) {
 	inst := testInstance(t, modulation.QAM64, 3, 11)
-	h := &Hybrid{NumReads: 5, Sp: 0.97, Config: fastCfg()} // frozen RA: samples ≈ init
+	h := &Ensemble{NumReads: 5, SpGrid: []float64{0.97}, Config: fastCfg()} // frozen RA: samples ≈ init
 	out, err := h.Solve(inst.Reduction, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +162,7 @@ func TestHybridBeatsForwardOnHardInstance(t *testing.T) {
 	// at modest sweep budgets.
 	inst := testInstance(t, modulation.QAM16, 4, 31)
 	reads := 60
-	h := &Hybrid{NumReads: reads, Config: fastCfg()}
+	h := &Ensemble{NumReads: reads, Config: fastCfg()}
 	f := &ForwardSolver{NumReads: reads, Config: fastCfg()}
 	ho, err := h.Solve(inst.Reduction, rng.New(37))
 	if err != nil {
@@ -297,7 +296,7 @@ func TestHybridOnEmbeddedQPU(t *testing.T) {
 	inst := testInstance(t, modulation.QPSK, 3, 89) // 12 spins → C_3 region
 	cfg := fastCfg()
 	cfg.QPU = annealer.NewQPU2000Q()
-	h := &Hybrid{NumReads: 15, Config: cfg}
+	h := &Ensemble{NumReads: 15, Config: cfg}
 	out, err := h.Solve(inst.Reduction, rng.New(97))
 	if err != nil {
 		t.Fatal(err)

@@ -13,13 +13,14 @@ import (
 	"repro/internal/rng"
 )
 
-// This file implements flexible-parallelism ensemble RA detection
-// (X-ResQ, the authors' follow-up to the paper): instead of one reverse
-// anneal seeded by one classical candidate, a frame fans out into K×G
-// arms — the top-K classical candidates × a G-point s_p schedule grid —
-// and the arms' read ensembles are fused into per-spin soft output
-// (mimo.FuseLLRs) for the channel decoder, with the best state across
-// all arms and candidates as the hard answer.
+// This file implements the reverse-anneal detector. Its single-arm form
+// is the paper's §4.1 prototype: one reverse anneal seeded by one
+// classical candidate. Its general form is flexible-parallelism ensemble
+// RA detection (X-ResQ, the authors' follow-up to the paper): a frame
+// fans out into K×G arms — the top-K classical candidates × a G-point
+// s_p schedule grid — and the arms' read ensembles are fused into
+// per-spin soft output (mimo.FuseLLRs) for the channel decoder, with the
+// best state across all arms and candidates as the hard answer.
 
 // Ensemble bounds, wide enough for every configuration the experiments
 // sweep while keeping a mis-parsed flag from planning millions of arms.
@@ -106,11 +107,11 @@ func ValidateSpGrid(grid []float64) error {
 
 // TopKCandidates produces the ensemble's K classical candidates for a
 // reduced problem, deterministically from r. Candidate 0 is always the
-// default greedy-search state (GreedyModule{} — the single-RA seed, so a
-// K=1 ensemble collapses onto today's hybrid path exactly); the rest are
-// drawn from a fixed generation order — the ascending greedy order, the
-// zero-forcing linear detector, then simulated-annealing restarts on
-// r's "sa" stream — deduplicated and ranked by ascending energy.
+// default greedy-search state (GreedyModule{} — the §4.1 prototype's
+// single-RA seed); the rest are drawn from a fixed generation order —
+// the ascending greedy order, the zero-forcing linear detector, then
+// simulated-annealing restarts on r's "sa" stream — deduplicated and
+// ranked by ascending energy.
 func TopKCandidates(red *mimo.Reduction, k int, r *rng.Source) ([][]int8, error) {
 	if k < 1 || k > MaxEnsembleK {
 		return nil, fmt.Errorf("core: ensemble K %d out of [1, %d]", k, MaxEnsembleK)
@@ -185,12 +186,18 @@ func spinsEqual(a, b []int8) bool {
 	return true
 }
 
-// Ensemble is the flexible-parallelism RA detector. The zero value is
-// exactly the paper's single-RA hybrid (K=1, grid {0.45}): Solve's
-// outcome is byte-identical to Hybrid.Solve with the same defaults, and
-// every K>1 or longer grid strictly extends that run with extra arms on
+// Ensemble is the reverse-anneal detector. The zero value is exactly
+// the paper's §4.1 prototype: a sequential classical→quantum
+// pre-processing structure where the Greedy Search candidate initializes
+// one Reverse Annealing run (K=1, grid {0.45}, t_p = 1 μs, 100 reads) and
+// the lowest-energy state seen — the candidate included — is the answer.
+// Every K>1 or longer grid strictly extends that run with extra arms on
 // independent RNG streams.
 type Ensemble struct {
+	// Classical produces candidate 0, the state arm 0 is seeded with
+	// (default: the greedy-search candidate of TopKCandidates). Further
+	// candidates come from TopKCandidates.
+	Classical ClassicalModule
 	// K is the classical-candidate count (default 1, max MaxEnsembleK).
 	K int
 	// SpGrid is the s_p switch-point grid (default {0.45}).
@@ -207,14 +214,22 @@ type Ensemble struct {
 	// FallbackOnFault degrades per arm: a faulted arm contributes no
 	// samples but the frame still answers from the surviving arms (or
 	// the best classical candidate when every arm faults). Without it a
-	// device fault fails the solve, matching Hybrid.
+	// device fault fails the solve.
 	FallbackOnFault bool
 }
 
-// Name identifies the solver.
+// Name identifies the solver: "<module>+ra" for the single-arm
+// prototype, "<module>+ra-ensemble[k=K,g=G]" otherwise.
 func (e *Ensemble) Name() string {
 	cfg := e.withDefaults()
-	return fmt.Sprintf("gs+ra-ensemble[k=%d,g=%d]", cfg.K, len(cfg.SpGrid))
+	m := "gs"
+	if cfg.Classical != nil {
+		m = cfg.Classical.Name()
+	}
+	if cfg.K == 1 && len(cfg.SpGrid) == 1 {
+		return m + "+ra"
+	}
+	return fmt.Sprintf("%s+ra-ensemble[k=%d,g=%d]", m, cfg.K, len(cfg.SpGrid))
 }
 
 func (e *Ensemble) withDefaults() Ensemble {
@@ -237,8 +252,10 @@ func (e *Ensemble) withDefaults() Ensemble {
 // ArmOutcome reports one arm's run.
 type ArmOutcome struct {
 	Arm EnsembleArm
-	// Sp is the arm's switch point (SpGrid[Arm.SpIndex]).
-	Sp float64
+	// Sp is the arm's switch point (SpGrid[Arm.SpIndex]) and
+	// ScheduleDuration one read's schedule length at it (μs).
+	Sp               float64
+	ScheduleDuration float64
 	// InitialState and InitialEnergy describe the arm's candidate.
 	InitialState  []int8
 	InitialEnergy float64
@@ -271,11 +288,11 @@ type EnsembleOutcome struct {
 // batches over one prepared problem per grid entry (the per-problem
 // compile is paid G times, not K×G), and fuses the reads.
 //
-// Determinism: arm 0 runs on the exact RNG stream Hybrid.Solve uses
-// ("quantum" under r), every further arm on its own "ensemble/arm"
-// split, and fusion is canonical-order — so results are a pure function
-// of (problem, config, r) and a K=1/{0.45} ensemble reproduces the
-// single-RA path byte for byte.
+// Determinism: the classical module draws from r's "classical" split,
+// arm 0 runs on r's "quantum" split, every further arm on its own
+// "ensemble/arm" split, and fusion is canonical-order — so results are a
+// pure function of (problem, config, r), and adding arms never changes
+// what arm 0 computes.
 func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, error) {
 	cfg := e.withDefaults()
 	if err := ValidateSpGrid(cfg.SpGrid); err != nil {
@@ -284,6 +301,11 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 	cands, err := TopKCandidates(red, cfg.K, r.SplitString("classical"))
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Classical != nil {
+		if cands[0], err = cfg.Classical.Initialize(red, r.SplitString("classical")); err != nil {
+			return nil, fmt.Errorf("core: classical module: %w", err)
+		}
 	}
 	for _, c := range cands {
 		if len(c) != red.NumSpins() {
@@ -322,8 +344,8 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 		sessions[g] = gridSession{sc: sc, lease: l, prep: prep}
 	}
 
-	// Arm RNG streams: arm 0 is Hybrid.Solve's "quantum" stream (the
-	// collapse anchor), arms beyond it get independent keyed splits.
+	// Arm RNG streams: arm 0 is the single-arm prototype's "quantum"
+	// stream, arms beyond it get independent keyed splits.
 	armRng := make([]*rng.Source, len(arms))
 	extra := r.SplitString("ensemble/arm")
 	for i := range arms {
@@ -368,6 +390,7 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 		ao := &out.Arms[i]
 		ao.Arm = a
 		ao.Sp = cfg.SpGrid[a.SpIndex]
+		ao.ScheduleDuration = sessions[a.SpIndex].sc.Duration()
 		ao.InitialState = cands[a.Candidate]
 		ao.InitialEnergy = red.Ising.Energy(cands[a.Candidate])
 		if armErrs[i] != nil {
@@ -403,7 +426,7 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 				best = c
 			}
 		}
-		out.ScheduleDuration = sessions[0].sc.Duration()
+		out.ScheduleDuration = out.Arms[0].ScheduleDuration
 		out.Best = qubo.Sample{Spins: append([]int8(nil), cands[best]...), Energy: red.Ising.Energy(cands[best])}
 		out.Source = AnswerClassicalFallback
 		out.Fault = firstFault
@@ -430,7 +453,7 @@ func (e *Ensemble) Solve(red *mimo.Reduction, r *rng.Source) (*EnsembleOutcome, 
 		out.FaultStats.ChainBreakStorms += ao.FaultStats.ChainBreakStorms
 		out.FaultStats.CalibrationDrifts += ao.FaultStats.CalibrationDrifts
 		if out.ScheduleDuration == 0 {
-			out.ScheduleDuration = results[i].ScheduleDuration
+			out.ScheduleDuration = ao.ScheduleDuration
 		}
 	}
 	if sampleCount > 0 {

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/annealer"
+	"repro/internal/mimo"
 	"repro/internal/modulation"
+	"repro/internal/qubo"
 	"repro/internal/rng"
 )
 
@@ -116,63 +118,183 @@ func marshalOutcome(t *testing.T, out *Outcome) []byte {
 	return []byte(fmt.Sprintf("%+v", *out))
 }
 
-// TestEnsembleK1ByteIdenticalToHybrid: the collapse contract — a K=1
-// ensemble on the trivial grid reproduces Hybrid.Solve byte for byte
-// from the same root stream, on both the healthy and the faulted path.
+// hybridOracle is the paper's §4.1 prototype written directly against
+// the annealer: the module's candidate seeds one reverse anneal at s_p
+// (t_p = 1 μs) and competes with the reads. It shares no code with
+// Ensemble beyond the module and the device, so agreement with it is
+// evidence, not tautology.
+func hybridOracle(m ClassicalModule, cfg AnnealConfig, sp float64, reads int, fallback bool, red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
+	init, err := m.Initialize(red, r.SplitString("classical"))
+	if err != nil {
+		return nil, err
+	}
+	sc, err := annealer.Reverse(sp, 1)
+	if err != nil {
+		return nil, err
+	}
+	p := annealer.Params{Schedule: sc, InitialState: init, NumReads: reads, Engine: cfg.Engine,
+		Profile: cfg.Profile, SweepsPerMicrosecond: cfg.SweepsPerMicrosecond, ICE: cfg.ICE,
+		Faults: cfg.Faults, Parallelism: cfg.Parallelism}
+	var res *annealer.Result
+	if cfg.QPU != nil {
+		res, err = cfg.QPU.Run(red.Ising, p, r.SplitString("quantum"))
+	} else {
+		res, err = annealer.Run(red.Ising, p, r.SplitString("quantum"))
+	}
+	initE := red.Ising.Energy(init)
+	out := &Outcome{InitialState: init, InitialEnergy: initE, ScheduleDuration: sc.Duration()}
+	candidate := qubo.Sample{Spins: append([]int8(nil), init...), Energy: initE}
+	switch fe, isFault := annealer.AsFault(err); {
+	case err != nil && (!isFault || !fallback):
+		return nil, err
+	case err != nil:
+		out.Best, out.Source, out.Fault = candidate, AnswerClassicalFallback, fe
+	case initE < res.Best.Energy:
+		out.Best, out.Source = candidate, AnswerClassicalCandidate
+	default:
+		out.Best, out.Source = res.Best, AnswerQuantum
+	}
+	if err == nil {
+		out.Samples, out.AnnealTime, out.FaultStats = res.Samples, res.TotalAnnealTime, res.Faults
+		out.BrokenChainRate = res.BrokenChainRate
+	}
+	out.Symbols = red.DecodeSpins(out.Best.Spins)
+	return out, nil
+}
+
+// TestEnsembleK1ByteIdenticalToHybrid: a K=1 ensemble seeded by any
+// classical module reproduces the single-RA hybrid oracle exactly, on
+// the healthy, faulted, embedded and parallel paths alike.
 func TestEnsembleK1ByteIdenticalToHybrid(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 4, 11)
-	cases := []struct {
-		name string
-		cfg  AnnealConfig
-	}{
-		{"healthy", fastCfg()},
-		{"programming-fault", func() AnnealConfig {
-			cfg := fastCfg()
-			cfg.Faults = annealer.FaultModel{ProgrammingFailureRate: 1}
-			return cfg
-		}()},
-		{"soft-faults", func() AnnealConfig {
-			cfg := fastCfg()
-			cfg.Faults = annealer.FaultModel{ReadTimeoutRate: 0.3, ChainBreakStormRate: 0.2, StormFlipFraction: 0.4}
-			return cfg
-		}()},
+	red := inst.Reduction
+	withCfg := func(edit func(*AnnealConfig)) AnnealConfig {
+		cfg := fastCfg()
+		edit(&cfg)
+		return cfg
 	}
-	for _, tc := range cases {
+	progFault := withCfg(func(c *AnnealConfig) { c.Faults = annealer.FaultModel{ProgrammingFailureRate: 1} })
+	configs := []struct {
+		name     string
+		cfg      AnnealConfig
+		fallback bool
+	}{
+		{"healthy", fastCfg(), false},
+		{"programming-fault", progFault, true},
+		{"programming-fault-no-fallback", progFault, false},
+		{"soft-faults", withCfg(func(c *AnnealConfig) {
+			c.Faults = annealer.FaultModel{ReadTimeoutRate: 0.3, ChainBreakStormRate: 0.2, StormFlipFraction: 0.4}
+		}), true},
+		{"embedded", withCfg(func(c *AnnealConfig) { c.QPU = annealer.NewQPU2000Q() }), false},
+		{"parallel", withCfg(func(c *AnnealConfig) { c.Parallelism = 4 }), false},
+	}
+	modules := []ClassicalModule{
+		GreedyModule{}, RandomModule{},
+		DetectorModule{Detector: mimo.ZeroForcing{}},
+		FixedModule{State: inst.GroundSpins},
+		SAModule{Opts: qubo.SAOptions{Sweeps: 50}},
+		PTModule{Opts: qubo.PTOptions{Replicas: 4, Sweeps: 20}},
+	}
+	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			h := &Hybrid{NumReads: 40, Config: tc.cfg, FallbackOnFault: true}
-			want, err := h.Solve(inst.Reduction, rng.New(77))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := &Ensemble{NumReads: 40, Config: tc.cfg, FallbackOnFault: true}
-			got, err := e.Solve(inst.Reduction, rng.New(77))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb, gb := marshalOutcome(t, want), marshalOutcome(t, &got.Outcome)
-			if !bytes.Equal(wb, gb) {
-				t.Fatalf("K=1 ensemble diverged from Hybrid:\n hybrid: %s\n ensemble: %s", wb, gb)
-			}
-			if !reflect.DeepEqual(*want, got.Outcome) {
-				t.Fatal("K=1 ensemble outcome not deeply equal to Hybrid outcome")
-			}
-			if len(got.Arms) != 1 {
-				t.Fatalf("%d arms for K=1", len(got.Arms))
+			for _, m := range modules {
+				t.Run(m.Name(), func(t *testing.T) {
+					want, werr := hybridOracle(m, tc.cfg, 0.45, 40, tc.fallback, red, rng.New(77))
+					e := &Ensemble{Classical: m, NumReads: 40, Config: tc.cfg, FallbackOnFault: tc.fallback}
+					got, gerr := e.Solve(red, rng.New(77))
+					if werr != nil || gerr != nil {
+						if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+							t.Fatalf("errors diverged: oracle %v, ensemble %v", werr, gerr)
+						}
+						return
+					}
+					if !reflect.DeepEqual(*want, got.Outcome) {
+						t.Fatalf("K=1 ensemble diverged from the oracle:\n oracle:   %s\n ensemble: %s",
+							marshalOutcome(t, want), marshalOutcome(t, &got.Outcome))
+					}
+					if len(got.Arms) != 1 {
+						t.Fatalf("%d arms for K=1", len(got.Arms))
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestEnsembleZeroValueMatchesHybridZeroValue: defaults line up field
-// for field, so flag-free configs collapse too.
+// TestEnsembleZeroValueMatchesHybridZeroValue: the zero value is the
+// paper's §4.1 prototype (greedy seed, one arm at s_p = 0.45, t_p = 1 μs,
+// 100 reads) and is named like it; wider ensembles say so in the name.
 func TestEnsembleZeroValueMatchesHybridZeroValue(t *testing.T) {
 	e := (&Ensemble{}).withDefaults()
-	h := (&Hybrid{}).withDefaults()
-	if e.K != 1 || len(e.SpGrid) != 1 || e.SpGrid[0] != h.Sp || e.Tp != h.Tp || e.NumReads != h.NumReads {
-		t.Fatalf("ensemble defaults %+v do not collapse onto hybrid defaults Sp=%g Tp=%g reads=%d", e, h.Sp, h.Tp, h.NumReads)
+	if e.Classical != nil || e.K != 1 || len(e.SpGrid) != 1 || e.SpGrid[0] != 0.45 || e.Tp != 1 || e.NumReads != 100 {
+		t.Fatalf("ensemble defaults %+v are not the §4.1 prototype", e)
 	}
-	if (&Ensemble{}).Name() != "gs+ra-ensemble[k=1,g=1]" {
-		t.Fatalf("name %q", (&Ensemble{}).Name())
+	for _, tc := range []struct {
+		e    Ensemble
+		want string
+	}{
+		{Ensemble{}, "gs+ra"},
+		{Ensemble{Classical: RandomModule{}}, "random+ra"},
+		{Ensemble{SpGrid: []float64{0.4}}, "gs+ra"},
+		{Ensemble{K: 2}, "gs+ra-ensemble[k=2,g=1]"},
+		{Ensemble{Classical: DetectorModule{Detector: mimo.ZeroForcing{}}, SpGrid: DefaultSpGrid()}, "zf+ra-ensemble[k=1,g=3]"},
+	} {
+		if got := tc.e.Name(); got != tc.want {
+			t.Fatalf("name %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// TestEnsembleClassicalSeedsCandidateZero: a classical module replaces
+// only candidate 0; the further candidates are TopKCandidates' own.
+func TestEnsembleClassicalSeedsCandidateZero(t *testing.T) {
+	inst := testInstance(t, modulation.QAM16, 4, 17)
+	red := inst.Reduction
+	top, err := TopKCandidates(red, 3, rng.New(5).SplitString("classical"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Ensemble{Classical: FixedModule{State: inst.GroundSpins}, K: 3, NumReads: 10, Config: fastCfg()}
+	out, err := e.Solve(red, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int8{inst.GroundSpins, top[1], top[2]}
+	for i, ao := range out.Arms {
+		if !reflect.DeepEqual(ao.InitialState, want[ao.Arm.Candidate]) {
+			t.Fatalf("arm %d seeded with %v, want candidate %d %v", i, ao.InitialState, ao.Arm.Candidate, want[ao.Arm.Candidate])
+		}
+	}
+	if _, err := (&Ensemble{Classical: FixedModule{State: []int8{1}}}).Solve(red, rng.New(5)); err == nil ||
+		!strings.Contains(err.Error(), "classical module") {
+		t.Fatalf("wrong-length classical candidate: err %v", err)
+	}
+}
+
+// TestEnsembleFusedLLRsMatchGroundSigns: on an easy noiseless instance
+// the single-arm detector's fused soft output agrees in sign with the
+// ground state on most spins.
+func TestEnsembleFusedLLRsMatchGroundSigns(t *testing.T) {
+	inst := testInstance(t, modulation.QAM16, 4, 73)
+	out, err := (&Ensemble{NumReads: 60, Config: fastCfg()}).Solve(inst.Reduction, rng.New(75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	llrs := out.FusedLLRs
+	if len(llrs) != inst.Reduction.NumSpins() {
+		t.Fatalf("%d LLRs", len(llrs))
+	}
+	if out.Best.Energy > inst.GroundEnergy+1e-6 {
+		t.Skip("detector missed the optimum on this draw; soft-sign check not meaningful")
+	}
+	agree := 0
+	for i, l := range llrs {
+		if (l > 0) == (inst.GroundSpins[i] > 0) {
+			agree++
+		}
+	}
+	if agree < len(llrs)*3/4 {
+		t.Fatalf("soft output agrees with ground on only %d/%d spins", agree, len(llrs))
 	}
 }
 
@@ -224,7 +346,8 @@ func TestEnsembleMultiArmSolve(t *testing.T) {
 
 // TestEnsembleAllArmsFaulted: with every arm lost to programming faults
 // and FallbackOnFault set, the frame degrades to the best classical
-// candidate like Hybrid's fallback; without the flag the fault surfaces.
+// candidate like the single-arm fallback; without the flag the fault
+// surfaces.
 func TestEnsembleAllArmsFaulted(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 4, 15)
 	cfg := fastCfg()

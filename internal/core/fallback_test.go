@@ -19,7 +19,7 @@ func faultyCfg(fm annealer.FaultModel) AnnealConfig {
 // of erroring — and the answer is exactly the classical candidate.
 func TestHybridFallbackOnProgrammingFault(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 3, 5)
-	h := &Hybrid{NumReads: 20,
+	h := &Ensemble{NumReads: 20,
 		Config:          faultyCfg(annealer.FaultModel{ProgrammingFailureRate: 1}),
 		FallbackOnFault: true}
 	out, err := h.Solve(inst.Reduction, rng.New(9))
@@ -56,7 +56,7 @@ func TestHybridFallbackOnProgrammingFault(t *testing.T) {
 // must surface as a typed error, not a silent answer.
 func TestHybridFaultWithoutFallbackErrors(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 3, 5)
-	h := &Hybrid{NumReads: 20, Config: faultyCfg(annealer.FaultModel{ProgrammingFailureRate: 1})}
+	h := &Ensemble{NumReads: 20, Config: faultyCfg(annealer.FaultModel{ProgrammingFailureRate: 1})}
 	_, err := h.Solve(inst.Reduction, rng.New(9))
 	if err == nil {
 		t.Fatal("programming fault swallowed without FallbackOnFault")
@@ -71,7 +71,7 @@ func TestHybridFaultWithoutFallbackErrors(t *testing.T) {
 // so — the "never worse than classical" guarantee under degradation.
 func TestHybridCandidateWinsUnderStorms(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 3, 5)
-	h := &Hybrid{NumReads: 20,
+	h := &Ensemble{NumReads: 20,
 		Config: faultyCfg(annealer.FaultModel{ChainBreakStormRate: 1, StormFlipFraction: 0.5})}
 	out, err := h.Solve(inst.Reduction, rng.New(9))
 	if err != nil {
@@ -92,11 +92,11 @@ func TestHybridCandidateWinsUnderStorms(t *testing.T) {
 // no-op on a fault-free run — bit-identical to the unflagged solver.
 func TestHybridFallbackTransparentWhenHealthy(t *testing.T) {
 	inst := testInstance(t, modulation.QAM16, 3, 5)
-	plain, err := (&Hybrid{NumReads: 20, Config: fastCfg()}).Solve(inst.Reduction, rng.New(9))
+	plain, err := (&Ensemble{NumReads: 20, Config: fastCfg()}).Solve(inst.Reduction, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := (&Hybrid{NumReads: 20, Config: fastCfg(), FallbackOnFault: true}).Solve(inst.Reduction, rng.New(9))
+	guarded, err := (&Ensemble{NumReads: 20, Config: fastCfg(), FallbackOnFault: true}).Solve(inst.Reduction, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

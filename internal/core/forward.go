@@ -1,0 +1,116 @@
+package core
+
+import (
+	"repro/internal/annealer"
+	"repro/internal/mimo"
+	"repro/internal/rng"
+)
+
+// ForwardSolver runs plain Forward Annealing — the fully quantum baseline
+// (QuAMax) the paper compares against.
+type ForwardSolver struct {
+	// Ta is the anneal time in μs (default 1, the hardware minimum the
+	// paper uses).
+	Ta float64
+	// Sp is the pause location (default 0.41, the only value where FA
+	// succeeded in Figure 8).
+	Sp float64
+	// Tp is the pause duration in μs (default 1).
+	Tp float64
+	// NumReads is the sample count (default 100).
+	NumReads int
+	Config   AnnealConfig
+}
+
+// Name identifies the solver.
+func (*ForwardSolver) Name() string { return "fa" }
+
+// Solve runs FA on the reduced problem.
+func (f *ForwardSolver) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
+	ta, sp, tp, reads := f.Ta, f.Sp, f.Tp, f.NumReads
+	if ta == 0 {
+		ta = 1
+	}
+	if sp == 0 {
+		sp = 0.41
+	}
+	if tp == 0 {
+		tp = 1
+	}
+	if reads <= 0 {
+		reads = 100
+	}
+	sc, err := annealer.Forward(ta, sp, tp)
+	if err != nil {
+		return nil, err
+	}
+	res, err := f.Config.run(red.Ising, f.Config.params(sc, nil, reads), r)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{
+		Symbols:          red.DecodeSpins(res.Best.Spins),
+		Best:             res.Best,
+		Samples:          res.Samples,
+		AnnealTime:       res.TotalAnnealTime,
+		ScheduleDuration: res.ScheduleDuration,
+		BrokenChainRate:  res.BrokenChainRate,
+	}, nil
+}
+
+// ForwardReverseSolver runs the single-step FR schedule — the second
+// fully quantum comparison scheme, where the RA initial state is the
+// un-measured state the forward leg reaches at s = cp.
+type ForwardReverseSolver struct {
+	// Cp is the forward turn point (searched exhaustively in the paper's
+	// "oracle" scheme; default 0.7).
+	Cp float64
+	// Sp is the reversal/pause location (default 0.45).
+	Sp float64
+	// Tp is the pause duration in μs (default 1).
+	Tp float64
+	// Ta is the final forward leg's anneal time (default 1).
+	Ta float64
+	// NumReads is the sample count (default 100).
+	NumReads int
+	Config   AnnealConfig
+}
+
+// Name identifies the solver.
+func (*ForwardReverseSolver) Name() string { return "fr" }
+
+// Solve runs FR on the reduced problem.
+func (f *ForwardReverseSolver) Solve(red *mimo.Reduction, r *rng.Source) (*Outcome, error) {
+	cp, sp, tp, ta, reads := f.Cp, f.Sp, f.Tp, f.Ta, f.NumReads
+	if cp == 0 {
+		cp = 0.7
+	}
+	if sp == 0 {
+		sp = 0.45
+	}
+	if tp == 0 {
+		tp = 1
+	}
+	if ta == 0 {
+		ta = 1
+	}
+	if reads <= 0 {
+		reads = 100
+	}
+	sc, err := annealer.ForwardReverse(cp, sp, tp, ta)
+	if err != nil {
+		return nil, err
+	}
+	res, err := f.Config.run(red.Ising, f.Config.params(sc, nil, reads), r)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{
+		Symbols:          red.DecodeSpins(res.Best.Spins),
+		Best:             res.Best,
+		Samples:          res.Samples,
+		AnnealTime:       res.TotalAnnealTime,
+		ScheduleDuration: res.ScheduleDuration,
+		BrokenChainRate:  res.BrokenChainRate,
+	}, nil
+}

@@ -84,7 +84,7 @@ func RunModuleAblation(cfg Config) (*ModuleAblation, error) {
 			if d <= 1e-9 {
 				row.GroundRate++
 			}
-			h := &core.Hybrid{
+			h := &core.Ensemble{
 				Classical: core.FixedModule{State: init},
 				NumReads:  cfg.Reads,
 				Config:    cfg.annealConfig(),

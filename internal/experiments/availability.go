@@ -78,10 +78,10 @@ func RunAvailability(cfg Config) (*AvailabilityResult, error) {
 		p := &pipeline.Pipeline{Stages: []pipeline.Stage{
 			&pipeline.ClassicalStage{Rng: rng.New(cfg.Seed ^ 5)},
 			&pipeline.Retry{
-				Stage: &pipeline.QuantumStage{
-					NumReads: reads,
-					Config:   qcfg,
-					Rng:      rng.New(cfg.Seed ^ 6),
+				Stage: &pipeline.EnsembleStage{
+					ReadsPerArm: reads,
+					Config:      qcfg,
+					Rng:         rng.New(cfg.Seed ^ 6),
 				},
 				MaxAttempts:   maxAttempts,
 				BackoffMicros: backoffMicros,

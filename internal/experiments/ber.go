@@ -74,7 +74,7 @@ func RunBER(cfg Config) (*BERResult, error) {
 				case "sd":
 					return mimo.SphereDecoder{}.Detect(in.Problem)
 				case "gs+ra":
-					out, err := (&core.Hybrid{NumReads: cfg.Reads / 2, Config: cfg.annealConfig()}).
+					out, err := (&core.Ensemble{NumReads: cfg.Reads / 2, Config: cfg.annealConfig()}).
 						Solve(in.Reduction, r)
 					if err != nil {
 						return nil, err

@@ -56,10 +56,10 @@ func RunCapacity(cfg Config) (*CapacityResult, error) {
 	for _, qpus := range []int{1, 2, 3, 4} {
 		stages := []pipeline.Stage{
 			&pipeline.ClassicalStage{Rng: rng.New(cfg.Seed ^ 3)},
-			&pipeline.QuantumStage{
-				NumReads: reads,
-				Config:   cfg.annealConfig(),
-				Rng:      rng.New(cfg.Seed ^ 4),
+			&pipeline.EnsembleStage{
+				ReadsPerArm: reads,
+				Config:      cfg.annealConfig(),
+				Rng:         rng.New(cfg.Seed ^ 4),
 			},
 		}
 		p := &pipeline.Pipeline{Stages: stages, Replicas: []int{1, qpus},

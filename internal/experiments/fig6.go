@@ -81,18 +81,18 @@ func Figure6(cfg Config, variables int) (*Fig6Result, error) {
 				return nil, err
 			}
 			outs[Fig6FA] = out
-			raRand := &core.Hybrid{Classical: core.RandomModule{}, NumReads: cfg.Reads, Config: cfg.annealConfig()}
-			out, err = raRand.Solve(in.Reduction, r.SplitString("ra-random"))
+			raRand := &core.Ensemble{Classical: core.RandomModule{}, NumReads: cfg.Reads, Config: cfg.annealConfig()}
+			ro, err := raRand.Solve(in.Reduction, r.SplitString("ra-random"))
 			if err != nil {
 				return nil, err
 			}
-			outs[Fig6RARandom] = out
-			raGS := &core.Hybrid{NumReads: cfg.Reads, Config: cfg.annealConfig()}
-			out, err = raGS.Solve(in.Reduction, r.SplitString("ra-gs"))
+			outs[Fig6RARandom] = &ro.Outcome
+			raGS := &core.Ensemble{NumReads: cfg.Reads, Config: cfg.annealConfig()}
+			ro, err = raGS.Solve(in.Reduction, r.SplitString("ra-gs"))
 			if err != nil {
 				return nil, err
 			}
-			outs[Fig6RAGS] = out
+			outs[Fig6RAGS] = &ro.Outcome
 
 			for alg, o := range outs {
 				sr := series[alg]

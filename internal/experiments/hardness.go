@@ -80,7 +80,7 @@ func RunHardness(cfg Config) (*HardnessResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			hy := &core.Hybrid{NumReads: cfg.Reads / 2, Config: cfg.annealConfig()}
+			hy := &core.Ensemble{NumReads: cfg.Reads / 2, Config: cfg.annealConfig()}
 			ho, err := hy.Solve(in.Reduction, r.SplitString("hybrid"))
 			if err != nil {
 				return nil, err

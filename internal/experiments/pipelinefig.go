@@ -47,10 +47,10 @@ func PipelineFigure(cfg Config, frames int) (*PipelineResult, error) {
 				// stage is ≈free; a K-best/FCSD module would not be).
 				MicrosFor: func(n int) float64 { return 60 },
 			},
-			&pipeline.QuantumStage{
-				NumReads: 100,
-				Config:   cfg.annealConfig(),
-				Rng:      rng.New(cfg.Seed ^ 2),
+			&pipeline.EnsembleStage{
+				ReadsPerArm: 100,
+				Config:      cfg.annealConfig(),
+				Rng:         rng.New(cfg.Seed ^ 2),
 			},
 		}
 	}

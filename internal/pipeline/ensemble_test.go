@@ -1,10 +1,10 @@
 package pipeline
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/annealer"
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/instance"
@@ -12,50 +12,105 @@ import (
 	"repro/internal/rng"
 )
 
-// TestEnsembleStageCollapsesToQuantumStage: a K=1/{0.45} ensemble stage
-// on a greedy-seeded pipeline must detect bit-identically to the
-// single-arm QuantumStage — same symbols, best energy, answer source,
-// and service time — because candidate 0 is the same greedy state and
-// arm 0 runs on the same RNG stream.
-func TestEnsembleStageCollapsesToQuantumStage(t *testing.T) {
+// TestEnsembleStageK1ServiceTimeExact: the single-arm stage is named
+// "qpu:ra" and charges exactly one programming cycle plus, per read, the
+// RA schedule and the readout — bit for bit, not within a tolerance.
+func TestEnsembleStageK1ServiceTimeExact(t *testing.T) {
 	insts, err := instance.Corpus(instance.Spec{
 		Users: 3, Scheme: modulation.QAM16, Channel: channel.UnitGainRandomPhase,
 	}, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(quantum Stage) []*Frame {
-		frames, err := GenerateFrames(insts, 500, 0)
-		if err != nil {
-			t.Fatal(err)
+	frames, err := GenerateFrames(insts, 500, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Overheads where regrouping the charge as anneal time plus readout
+	// time (reads·dur + reads·readout) lands one ulp away.
+	const (
+		reads       = 20
+		programming = 10.0
+		readout     = 0.2
+	)
+	es := &EnsembleStage{
+		ReadsPerArm: reads, Config: core.AnnealConfig{SweepsPerMicrosecond: 60},
+		ProgrammingMicros: programming, ReadoutMicros: readout, Rng: rng.New(2),
+	}
+	if es.Name() != "qpu:ra" {
+		t.Fatalf("single-arm stage name %q", es.Name())
+	}
+	p := &Pipeline{Stages: []Stage{&ClassicalStage{Rng: rng.New(1)}, es}}
+	out, err := p.Run(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := annealer.Reverse(0.45, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := programming + reads*(sc.Duration()+readout)
+	for _, f := range out {
+		if f.Err != nil {
+			t.Fatal(f.Err)
 		}
-		p := &Pipeline{Stages: []Stage{&ClassicalStage{Rng: rng.New(1)}, quantum}}
-		out, err := p.Run(frames)
-		if err != nil {
-			t.Fatal(err)
+		if f.ServiceTimes[1] != want {
+			t.Fatalf("frame %d: service %v, want exactly %v", f.Seq, f.ServiceTimes[1], want)
 		}
-		for _, f := range out {
-			if f.Err != nil {
-				t.Fatal(f.Err)
-			}
+		if pl := f.Payload.(*DetectionPayload); len(pl.SoftLLRs) != pl.Instance.Reduction.NumSpins() {
+			t.Fatalf("frame %d: %d fused LLRs, want one per spin", f.Seq, len(pl.SoftLLRs))
 		}
-		return out
+	}
+}
+
+// TestEnsembleStageSeedsFromClassicalStage: arm 0 is seeded with the
+// candidate the classical stage computed, not a greedy state the quantum
+// stage recomputes — so with a random classical module the stage detects
+// exactly like an ensemble seeded by that frame's InitialState, and not
+// like the greedy-seeded one.
+func TestEnsembleStageSeedsFromClassicalStage(t *testing.T) {
+	insts, err := instance.Corpus(instance.Spec{
+		Users: 3, Scheme: modulation.QAM16, Channel: channel.UnitGainRandomPhase,
+	}, 13, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := GenerateFrames(insts, 500, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := core.AnnealConfig{SweepsPerMicrosecond: 60}
-	single := run(&QuantumStage{NumReads: 20, Config: cfg, Rng: rng.New(2)})
-	ens := run(&EnsembleStage{ReadsPerArm: 20, Config: cfg, Rng: rng.New(2)})
-	for i := range single {
-		sp := single[i].Payload.(*DetectionPayload)
-		ep := ens[i].Payload.(*DetectionPayload)
-		if !reflect.DeepEqual(sp.Symbols, ep.Symbols) || sp.BestEnergy != ep.BestEnergy || sp.Source != ep.Source {
-			t.Fatalf("frame %d: collapsed ensemble diverges from the single arm", i)
+	es := &EnsembleStage{K: 2, ReadsPerArm: 10, Config: cfg, Rng: rng.New(2)}
+	p := &Pipeline{Stages: []Stage{&ClassicalStage{Module: core.RandomModule{}, Rng: rng.New(1)}, es}}
+	out, err := p.Run(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differsFromGreedy := 0
+	for _, f := range out {
+		if f.Err != nil {
+			t.Fatal(f.Err)
 		}
-		if math.Abs(single[i].ServiceTimes[1]-ens[i].ServiceTimes[1]) > 1e-9 {
-			t.Fatalf("frame %d: service %v vs %v", i, ens[i].ServiceTimes[1], single[i].ServiceTimes[1])
+		pl := f.Payload.(*DetectionPayload)
+		red := pl.Instance.Reduction
+		seeded, err := (&core.Ensemble{Classical: core.FixedModule{State: pl.InitialState}, K: 2, NumReads: 10, Config: cfg}).
+			Solve(red, rng.New(2).Split(uint64(f.Seq)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(ep.SoftLLRs) != len(sp.Symbols)*modulation.QAM16.BitsPerSymbol() {
-			t.Fatalf("frame %d: fused LLRs %d, want one per spin", i, len(ep.SoftLLRs))
+		if !reflect.DeepEqual(pl.SoftLLRs, seeded.FusedLLRs) || pl.BestEnergy != seeded.Best.Energy || pl.Source != seeded.Source {
+			t.Fatalf("frame %d: stage did not seed arm 0 from the classical stage's candidate", f.Seq)
 		}
+		greedy, err := (&core.Ensemble{K: 2, NumReads: 10, Config: cfg}).Solve(red, rng.New(2).Split(uint64(f.Seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(greedy.FusedLLRs, seeded.FusedLLRs) {
+			differsFromGreedy++
+		}
+	}
+	if differsFromGreedy == 0 {
+		t.Fatal("random and greedy seeds never diverged; the test cannot tell them apart")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/annealer"
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/instance"
@@ -208,10 +209,10 @@ func TestDetectionPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := &ClassicalStage{Rng: rng.New(1)}
-	qs := &QuantumStage{
-		NumReads: 30,
-		Config:   core.AnnealConfig{SweepsPerMicrosecond: 60},
-		Rng:      rng.New(2),
+	qs := &EnsembleStage{
+		ReadsPerArm: 30,
+		Config:      core.AnnealConfig{SweepsPerMicrosecond: 60},
+		Rng:         rng.New(2),
 	}
 	p := &Pipeline{Stages: []Stage{cs, qs}}
 	out, err := p.Run(frames)
@@ -238,22 +239,25 @@ func TestDetectionPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("deadline misses: %v", rep.DeadlineMissRate)
 	}
 	// The quantum stage dominates: RA at sp=0.45 runs 2.1 μs × 30 reads.
-	want, err := qs.QuantumServiceTime()
+	sc, err := annealer.Reverse(0.45, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(out[0].ServiceTimes[1]-want) > 1e-9 {
+	if want := 30 * sc.Duration(); out[0].ServiceTimes[1] != want {
 		t.Fatalf("quantum service %v, model %v", out[0].ServiceTimes[1], want)
 	}
 }
 
+// TestQuantumStageRequiresCandidate: the quantum stage (EnsembleStage)
+// refuses a frame the classical stage never seeded instead of silently
+// recomputing a candidate of its own.
 func TestQuantumStageRequiresCandidate(t *testing.T) {
 	insts, _ := instance.Corpus(instance.Spec{Users: 2, Scheme: modulation.QPSK}, 9, 1)
 	frames, err := GenerateFrames(insts, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := &QuantumStage{NumReads: 5, Config: core.AnnealConfig{SweepsPerMicrosecond: 60}, Rng: rng.New(1)}
+	qs := &EnsembleStage{K: 2, ReadsPerArm: 5, Config: core.AnnealConfig{SweepsPerMicrosecond: 60}, Rng: rng.New(1)}
 	p := &Pipeline{Stages: []Stage{qs}} // no classical stage
 	out, err := p.Run(frames)
 	if err != nil {
@@ -270,7 +274,7 @@ func TestStagePayloadTypeChecked(t *testing.T) {
 	if _, err := cs.Process(f); err == nil {
 		t.Fatal("bad payload accepted")
 	}
-	qs := &QuantumStage{Rng: rng.New(1)}
+	qs := &EnsembleStage{Rng: rng.New(1)}
 	if _, err := qs.Process(f); err == nil {
 		t.Fatal("bad payload accepted by quantum stage")
 	}

@@ -289,7 +289,7 @@ func TestDetectionPipelineRetryFallbackAcceptance(t *testing.T) {
 	p := &Pipeline{Stages: []Stage{
 		&ClassicalStage{Rng: rng.New(1)},
 		&Retry{
-			Stage:         &QuantumStage{NumReads: 30, Config: cfg, Rng: rng.New(2)},
+			Stage:         &EnsembleStage{ReadsPerArm: 30, Config: cfg, Rng: rng.New(2)},
 			MaxAttempts:   2,
 			BackoffMicros: 10,
 			Fallback:      &ClassicalFallback{},
@@ -342,10 +342,10 @@ func TestRetryWrapperIsTransparentWithoutFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var qs Stage = &QuantumStage{
-			NumReads: 30,
-			Config:   core.AnnealConfig{SweepsPerMicrosecond: 60},
-			Rng:      rng.New(2),
+		var qs Stage = &EnsembleStage{
+			ReadsPerArm: 30,
+			Config:      core.AnnealConfig{SweepsPerMicrosecond: 60},
+			Rng:         rng.New(2),
 		}
 		if wrap {
 			qs = &Retry{Stage: qs, MaxAttempts: 3, BackoffMicros: 10, Fallback: &ClassicalFallback{}}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/annealer"
 	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/mimo"
-	"repro/internal/qubo"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
@@ -19,8 +17,8 @@ type DetectionPayload struct {
 	Instance *instance.Instance
 	// InitialState is produced by the classical stage.
 	InitialState []int8
-	// Symbols and BestEnergy are produced by the quantum stage (or the
-	// fallback).
+	// Symbols and BestEnergy are produced by the quantum stage
+	// (EnsembleStage) or the fallback.
 	Symbols    []complex128
 	BestEnergy float64
 	// SymbolErrors compares against the transmitted truth.
@@ -28,8 +26,7 @@ type DetectionPayload struct {
 	// Source records where the answer came from (quantum-refined,
 	// classical candidate, or classical fallback).
 	Source core.AnswerSource
-	// SoftLLRs is the fused per-spin soft output when the frame was
-	// detected by an EnsembleStage (nil on the single-arm path).
+	// SoftLLRs is the quantum stage's fused per-spin soft output.
 	SoftLLRs []float64
 	// Degraded reports the quantum stage contributed nothing — the frame
 	// was answered by the classical candidate after a fault or deadline
@@ -83,114 +80,6 @@ func (s *ClassicalStage) Process(f *Frame) (float64, error) {
 		return s.MicrosFor(n), nil
 	}
 	return float64(n*n) * 1e-3, nil
-}
-
-// QuantumStage reverse-anneals each frame from its classical candidate
-// and charges the device service time.
-type QuantumStage struct {
-	// Sp, Tp, NumReads configure the RA program (defaults 0.45, 1, 50).
-	Sp, Tp   float64
-	NumReads int
-	Config   core.AnnealConfig
-	// Lease, when set, routes every frame through a prepared device
-	// session instead of re-validating and re-compiling per call — the
-	// fleet serving path. The lease's schedule and device settings take
-	// the place of Sp/Tp/Config; results are bit-identical to the
-	// unleased stage when both describe the same device.
-	Lease *annealer.Lease
-	// ProgrammingMicros and ReadoutMicros model per-call and per-read
-	// device overheads added to the pure anneal time. The paper's Figure 2
-	// pipelining is exactly about hiding these behind the classical
-	// stage; defaults are 0 (fully amortized) — set them to
-	// 2000Q-realistic values (10⁴, 123) to see today's integration cost.
-	ProgrammingMicros float64
-	ReadoutMicros     float64
-	Rng               *rng.Source
-}
-
-// Name implements Stage.
-func (s *QuantumStage) Name() string { return "qpu:ra" }
-
-// Process implements Stage.
-func (s *QuantumStage) Process(f *Frame) (float64, error) {
-	pl, ok := f.Payload.(*DetectionPayload)
-	if !ok {
-		return 0, fmt.Errorf("frame payload is %T, want *DetectionPayload", f.Payload)
-	}
-	if pl.InitialState == nil {
-		return 0, fmt.Errorf("frame %d reached the quantum stage without a classical candidate", f.Seq)
-	}
-	sp, tp, reads := s.Sp, s.Tp, s.NumReads
-	if sp == 0 {
-		sp = 0.45
-	}
-	if tp == 0 {
-		tp = 1
-	}
-	if reads <= 0 {
-		reads = 50
-	}
-	r := s.Rng
-	if r == nil {
-		r = rng.New(1)
-	}
-	// Attempt 0 uses the exact per-frame stream an unretried stage would;
-	// re-attempts derive fresh sub-streams so a retry is not a replay of
-	// the same faulted call.
-	rr := r.Split(uint64(f.Seq))
-	if f.Attempt > 0 {
-		rr = rr.Split(uint64(f.Attempt))
-	}
-	if s.Lease != nil {
-		return s.processLeased(f, pl, reads, rr)
-	}
-	h := &core.Hybrid{
-		Classical: core.FixedModule{State: pl.InitialState},
-		Sp:        sp, Tp: tp, NumReads: reads,
-		Config: s.Config,
-	}
-	out, err := h.Solve(pl.Instance.Reduction, rr)
-	if err != nil {
-		// A failed call still occupied the device for its programming
-		// cycle; charge that so retry accounting reflects real time lost.
-		return s.ProgrammingMicros, err
-	}
-	pl.Symbols = out.Symbols
-	pl.BestEnergy = out.Best.Energy
-	pl.SymbolErrors = mimo.SymbolErrors(out.Symbols, pl.Instance.Transmitted)
-	pl.Source = out.Source
-	pl.Degraded = out.Source.Degraded()
-	service := s.ProgrammingMicros + float64(reads)*(out.ScheduleDuration+s.ReadoutMicros)
-	return service, nil
-}
-
-// processLeased is the prepared-session path: the lease already holds the
-// validated schedule and compiled sweep program, so per-frame cost is the
-// anneal itself. The RNG stream ("quantum" under the per-frame split) and
-// the best-of contest against the classical candidate match Hybrid.Solve
-// exactly, so a leased stage is bit-identical to the unleased one.
-func (s *QuantumStage) processLeased(f *Frame, pl *DetectionPayload, reads int, rr *rng.Source) (float64, error) {
-	red := pl.Instance.Reduction
-	if len(pl.InitialState) != red.NumSpins() {
-		return 0, fmt.Errorf("pipeline: frame %d candidate has %d spins for %d-spin problem",
-			f.Seq, len(pl.InitialState), red.NumSpins())
-	}
-	res, err := s.Lease.Run(red.Ising, pl.InitialState, reads, rr.SplitString("quantum"))
-	if err != nil {
-		return s.ProgrammingMicros, err
-	}
-	best, source := res.Best, core.AnswerQuantum
-	if initE := red.Ising.Energy(pl.InitialState); initE < best.Energy {
-		best = qubo.Sample{Spins: append([]int8(nil), pl.InitialState...), Energy: initE}
-		source = core.AnswerClassicalCandidate
-	}
-	pl.Symbols = red.DecodeSpins(best.Spins)
-	pl.BestEnergy = best.Energy
-	pl.SymbolErrors = mimo.SymbolErrors(pl.Symbols, pl.Instance.Transmitted)
-	pl.Source = source
-	pl.Degraded = source.Degraded()
-	service := s.ProgrammingMicros + float64(reads)*(res.ScheduleDuration+s.ReadoutMicros)
-	return service, nil
 }
 
 // ClassicalFallback answers a frame whose quantum stage could not complete
@@ -292,26 +181,6 @@ func RecordDetectionOutcomes(reg *telemetry.Registry, frames []*Frame) {
 				telemetry.Label{Key: "reason", Value: f.Stats.FallbackReason}).Inc()
 		}
 	}
-}
-
-// QuantumServiceTime exposes the stage's service model for capacity
-// planning: the μs one frame occupies the QPU.
-func (s *QuantumStage) QuantumServiceTime() (float64, error) {
-	sp, tp, reads := s.Sp, s.Tp, s.NumReads
-	if sp == 0 {
-		sp = 0.45
-	}
-	if tp == 0 {
-		tp = 1
-	}
-	if reads <= 0 {
-		reads = 50
-	}
-	sc, err := annealer.Reverse(sp, tp)
-	if err != nil {
-		return 0, err
-	}
-	return s.ProgrammingMicros + float64(reads)*(sc.Duration()+s.ReadoutMicros), nil
 }
 
 // GenerateFramesPoisson turns an instance corpus into a Poisson arrival

@@ -613,7 +613,7 @@ func evalClassicalBERParity(e *Env) ([]Estimate, int, error) {
 		qErr, cErr := 0, 0
 		for fi, in := range insts {
 			fr := wr.Split(uint64(fi))
-			out, err := (&core.Hybrid{NumReads: readsEach}).Solve(in.Reduction, fr.SplitString("qpu"))
+			out, err := (&core.Ensemble{NumReads: readsEach}).Solve(in.Reduction, fr.SplitString("qpu"))
 			if err != nil {
 				return 0, 0, err
 			}
@@ -762,7 +762,7 @@ func evalCRANShardScaling(e *Env) ([]Estimate, int, error) {
 // the 3-point s_p grid must beat the single greedy/0.45 arm on success
 // probability. The comparison is PAIRED inside one ensemble solve — the
 // single-RA baseline is arm 0's own reads against its candidate, exactly
-// the Hybrid answer rule — so each trial's difference is Bernoulli in
+// the single-arm answer rule — so each trial's difference is Bernoulli in
 // {0, 1} and the "ensemble-collapsed" injection (K→1, trivial grid)
 // makes every difference identically zero: the gate crosses immediately
 // instead of stalling. Committed seed-2020 mean difference ≈ 0.6 at two
