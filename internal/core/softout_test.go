@@ -2,33 +2,45 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/mimo"
 	"repro/internal/modulation"
 	"repro/internal/qubo"
 	"repro/internal/rng"
 )
 
+// The detector's soft output is mimo.FuseLLRs over the surviving arms'
+// reads (EnsembleOutcome.FusedLLRs). These tests pin the sample
+// re-weighting it applies.
+
 func TestSampleSoftOutputValidation(t *testing.T) {
-	if _, err := SampleSoftOutput(nil, 1, 0); err == nil {
+	if _, err := mimo.FuseLLRs(nil, 1, 0); err == nil {
 		t.Fatal("empty samples accepted")
 	}
-	s := []qubo.Sample{{Spins: []int8{1}, Energy: 0}}
-	if _, err := SampleSoftOutput(s, 0, 0); err == nil {
-		t.Fatal("zero beta accepted")
+	s := [][]qubo.Sample{{{Spins: []int8{1}, Energy: 0}}}
+	// β ≤ 0 selects the default: 1 for a zero-spread ensemble.
+	def, err := mimo.FuseLLRs(s, 0, 0)
+	if err != nil {
+		t.Fatalf("zero beta: %v", err)
 	}
-	bad := []qubo.Sample{{Spins: []int8{1}, Energy: 0}, {Spins: []int8{1, 1}, Energy: 0}}
-	if _, err := SampleSoftOutput(bad, 1, 0); err == nil {
+	one, _ := mimo.FuseLLRs(s, 1, 0)
+	if !reflect.DeepEqual(def, one) {
+		t.Fatalf("zero beta gave %v, want the beta=1 output %v", def, one)
+	}
+	bad := [][]qubo.Sample{{{Spins: []int8{1}, Energy: 0}, {Spins: []int8{1, 1}, Energy: 0}}}
+	if _, err := mimo.FuseLLRs(bad, 1, 0); err == nil {
 		t.Fatal("inconsistent lengths accepted")
 	}
 }
 
 func TestSampleSoftOutputUnanimousClamps(t *testing.T) {
-	samples := []qubo.Sample{
+	samples := [][]qubo.Sample{{
 		{Spins: []int8{1, -1}, Energy: -3},
 		{Spins: []int8{1, -1}, Energy: -2},
-	}
-	llrs, err := SampleSoftOutput(samples, 1, 10)
+	}}
+	llrs, err := mimo.FuseLLRs(samples, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +52,12 @@ func TestSampleSoftOutputUnanimousClamps(t *testing.T) {
 // TestSampleSoftOutputWeighting: a low-energy sample dominates a
 // high-energy disagreeing one, and more so at larger beta.
 func TestSampleSoftOutputWeighting(t *testing.T) {
-	samples := []qubo.Sample{
+	samples := [][]qubo.Sample{{
 		{Spins: []int8{1}, Energy: -5},  // good sample says +1
 		{Spins: []int8{-1}, Energy: -1}, // bad sample says −1
-	}
-	weak, _ := SampleSoftOutput(samples, 0.1, 100)
-	strong, _ := SampleSoftOutput(samples, 2, 100)
+	}}
+	weak, _ := mimo.FuseLLRs(samples, 0.1, 100)
+	strong, _ := mimo.FuseLLRs(samples, 2, 100)
 	if weak[0] <= 0 || strong[0] <= 0 {
 		t.Fatalf("LLR should favour the low-energy sample: %v %v", weak, strong)
 	}
@@ -58,43 +70,38 @@ func TestSampleSoftOutputWeighting(t *testing.T) {
 	}
 }
 
-// TestSolveSoftMatchesGroundSigns: on an easy noiseless instance the
-// hybrid's soft output must agree in sign with the ground state on every
-// spin, and the hard decision must match the transmitted symbols.
-func TestSolveSoftMatchesGroundSigns(t *testing.T) {
+// TestAutoBeta: the detector's default sharpness (Beta ≤ 0) is
+// 4 / (E_max − E_min) over the pooled reads.
+func TestAutoBeta(t *testing.T) {
+	spread := [][]qubo.Sample{{
+		{Spins: []int8{1}, Energy: 0},
+		{Spins: []int8{-1}, Energy: 8},
+	}}
+	def, _ := mimo.FuseLLRs(spread, 0, 0)
+	half, _ := mimo.FuseLLRs(spread, 0.5, 0)
+	if !reflect.DeepEqual(def, half) {
+		t.Fatalf("default beta gave %v, want the beta=0.5 output %v", def, half)
+	}
+
 	inst := testInstance(t, modulation.QAM16, 4, 73)
-	h := &Hybrid{NumReads: 60, Config: fastCfg()}
-	out, llrs, err := h.SolveSoft(inst.Reduction, 0, rng.New(75))
+	out, err := (&Ensemble{NumReads: 60, Config: fastCfg()}).Solve(inst.Reduction, rng.New(75))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(llrs) != inst.Reduction.NumSpins() {
-		t.Fatalf("%d LLRs", len(llrs))
+	samples := out.Arms[0].Samples
+	min, max := samples[0].Energy, samples[0].Energy
+	for _, s := range samples {
+		min = math.Min(min, s.Energy)
+		max = math.Max(max, s.Energy)
 	}
-	if out.Best.Energy > inst.GroundEnergy+1e-6 {
-		t.Skip("hybrid missed the optimum on this draw; soft-sign check not meaningful")
+	if max-min < 1e-9 {
+		t.Fatal("degenerate ensemble; the default-beta check needs an energy spread")
 	}
-	agree := 0
-	for i, l := range llrs {
-		if (l > 0) == (inst.GroundSpins[i] > 0) {
-			agree++
-		}
+	want, err := mimo.FuseLLRs([][]qubo.Sample{samples}, 4/(max-min), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if agree < len(llrs)*3/4 {
-		t.Fatalf("soft output agrees with ground on only %d/%d spins", agree, len(llrs))
-	}
-}
-
-func TestAutoBeta(t *testing.T) {
-	if autoBeta(nil) != 1 {
-		t.Fatal("empty default wrong")
-	}
-	flat := []qubo.Sample{{Energy: 2}, {Energy: 2}}
-	if autoBeta(flat) != 1 {
-		t.Fatal("degenerate default wrong")
-	}
-	spread := []qubo.Sample{{Energy: 0}, {Energy: 8}}
-	if math.Abs(autoBeta(spread)-0.5) > 1e-12 {
-		t.Fatalf("autoBeta = %v, want 0.5", autoBeta(spread))
+	if !reflect.DeepEqual(out.FusedLLRs, want) {
+		t.Fatalf("FusedLLRs %v, want the beta=4/spread output %v", out.FusedLLRs, want)
 	}
 }

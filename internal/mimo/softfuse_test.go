@@ -149,24 +149,3 @@ func TestFuseLLRsPermutationInvariant(t *testing.T) {
 		}
 	}
 }
-
-// TestFuseLLRsExactWeighting pins the re-weighting arithmetic: a
-// low-energy read dominates a disagreeing high-energy one by exactly
-// β·ΔE, the default β is 4 / (E_max − E_min), and a spin every read
-// agrees on clamps to ±maxAbs whatever the energies.
-func TestFuseLLRsExactWeighting(t *testing.T) {
-	arms := [][]qubo.Sample{{sample(-5, 1, 1), sample(-1, -1, 1)}}
-	for _, tc := range []struct{ beta, want float64 }{
-		{2, 8}, // log e^0 − log e^{−2·4}
-		{0, 4}, // default β = 4/4
-		{0.1, 0.4},
-	} {
-		llrs, err := FuseLLRs(arms, tc.beta, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(llrs[0]-tc.want) > 1e-12 || llrs[1] != 10 {
-			t.Fatalf("beta=%g: LLRs %v, want [%g 10]", tc.beta, llrs, tc.want)
-		}
-	}
-}
