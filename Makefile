@@ -7,9 +7,9 @@ GO ?= go
 # tighter cap than the local default so the leg stays inside its slot.
 VALIDATE_MAX_READS ?= 30000
 
-.PHONY: check vet build test race fuzz-smoke slo fmt validate update-golden cover
+.PHONY: check vet build test race fuzz-smoke slo perfbench fmt validate update-golden cover
 
-check: vet build test race fuzz-smoke slo
+check: vet build test race fuzz-smoke slo perfbench
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +37,12 @@ fuzz-smoke:
 slo:
 	$(GO) test -count=1 ./internal/slo/
 	$(GO) run ./cmd/slotool -trace internal/slo/testdata/trace_small.jsonl -quiet > /dev/null
+
+# perfbench/ is its own module (it replaces repro with ../), so the root
+# `go build ./...` never compiles it: vet and test it here so an annealer
+# or fleet API change that breaks the benchmark fails `make check`.
+perfbench:
+	cd perfbench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
 
 fmt:
 	gofmt -l .

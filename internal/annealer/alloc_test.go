@@ -48,9 +48,10 @@ func TestRunBatchAllocs(t *testing.T) {
 // TestRunPreparedCacheHitAllocs pins what a cache-hit serve costs on the
 // embedded path: RunPrepared against an already-compiled Prepared skips
 // clique embedding, chain-strength scan, physical coefficient layout and
-// CSR normalization, leaving ~37 allocations versus ~4000 for an
-// uncached Lease.Run of the same batch. Both sides are pinned so the
-// cache's value and the hit path's cost are each guarded.
+// CSR normalization, leaving ~34 allocations versus ~4100 for an
+// uncached PrepareProblem + RunPrepared of the same batch. Both sides
+// are pinned so the cache's value and the hit path's cost are each
+// guarded.
 func TestRunPreparedCacheHitAllocs(t *testing.T) {
 	is := allocTestIsing(t)
 	fa, _ := Forward(1, 0.41, 1)
@@ -74,15 +75,15 @@ func TestRunPreparedCacheHitAllocs(t *testing.T) {
 		}
 	})
 	if hit > 64 {
-		t.Errorf("cache-hit RunPrepared allocates %.0f objects, want ≤ 64 (steady state is ~37)", hit)
+		t.Errorf("cache-hit RunPrepared allocates %.0f objects, want ≤ 64 (steady state is ~34)", hit)
 	}
 	uncached := testing.AllocsPerRun(10, func() {
 		seed++
-		if _, err := l.Run(is, nil, 32, rng.New(seed)); err != nil {
+		if _, err := prepareAndRun(l, is, nil, 32, rng.New(seed)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if uncached < 10*hit {
-		t.Errorf("uncached Lease.Run allocates %.0f objects vs %.0f on a hit; the compile the cache elides has shrunk below 10× — re-baseline these pins", uncached, hit)
+		t.Errorf("uncached PrepareProblem + RunPrepared allocates %.0f objects vs %.0f on a hit; the compile the cache elides has shrunk below 10× — re-baseline these pins", uncached, hit)
 	}
 }

@@ -172,37 +172,39 @@ type readScratch struct {
 	field  []float64
 }
 
-// batch holds one Run call's shared compiled state: the base CSR problem
-// every read programs from, and the scratch pool that makes steady-state
-// reads allocation-free.
+// batch is one run's working state: the base CSR problem every read
+// programs from, the lease's compiled ReadFunc, the scratch pool that
+// makes steady-state reads allocation-free, and the flat per-read output
+// blocks — O(1) allocations per batch regardless of NumReads.
 type batch struct {
 	p     Params
 	base  *qubo.CSR
 	read  ReadFunc
 	bread BatchReadFunc // lockstep kernel; nil when the engine has none
 	pool  sync.Pool
+
+	is      *qubo.Ising        // the problem samples are reported in
+	emb     *chimera.Embedding // nil on the logical path
+	spins   []int8             // engine readout, base.N spins per read
+	samples []qubo.Sample
+	faults  []readFault
+	// Embedded path only: the unembedded logical samples and each read's
+	// raw broken-chain count.
+	logSpins []int8
+	broken   []int
 }
 
-func newBatch(p Params, base *qubo.CSR) (*batch, error) {
-	if be, ok := p.Engine.(BatchEngine); ok {
-		read, bread, err := be.PrepareBatch(p.Schedule, *p.Profile, p.SweepsPerMicrosecond)
-		if err != nil {
-			return nil, err
-		}
-		return newPreparedBatch(p, base, read, bread), nil
+func newBatch(p Params, prep *Prepared, read ReadFunc, bread BatchReadFunc) *batch {
+	base := prep.pr
+	b := &batch{p: p, base: base, read: read, bread: bread, is: prep.is, emb: prep.emb,
+		spins:   make([]int8, p.NumReads*base.N),
+		samples: make([]qubo.Sample, p.NumReads),
+		faults:  make([]readFault, p.NumReads),
 	}
-	read, err := p.Engine.Prepare(p.Schedule, *p.Profile, p.SweepsPerMicrosecond)
-	if err != nil {
-		return nil, err
+	if b.emb != nil {
+		b.logSpins = make([]int8, p.NumReads*b.is.N)
+		b.broken = make([]int, p.NumReads)
 	}
-	return newPreparedBatch(p, base, read, nil), nil
-}
-
-// newPreparedBatch builds a batch around an ALREADY compiled ReadFunc —
-// the amortization a Lease provides: Engine.Prepare runs once per lease,
-// not once per problem.
-func newPreparedBatch(p Params, base *qubo.CSR, read ReadFunc, bread BatchReadFunc) *batch {
-	b := &batch{p: p, base: base, read: read, bread: bread}
 	b.pool.New = func() any {
 		return &readScratch{field: make([]float64, base.N)}
 	}
@@ -235,30 +237,32 @@ func (b *batch) program(st *readScratch, drifted *bool) *qubo.CSR {
 	return st.prog
 }
 
-// oneRead runs read index `read` of the batch: stream derivation, fault
-// draws, programming, dynamics, quench, storm. out receives the measured
-// state; the returned problem is what the read actually ran against.
-func (b *batch) oneRead(read int, root *rng.Source, out []int8, f *readFault) (ran bool) {
+// out returns read's slice of the engine readout block.
+func (b *batch) out(read int) []int8 {
+	n := b.base.N
+	return b.spins[read*n : (read+1)*n]
+}
+
+// oneRead runs read index `read` of the batch through the one-read
+// ReadFunc: stream derivation, fault draws, programming, dynamics, then
+// finish. A timed-out read is marked in faults and skips finish.
+func (b *batch) oneRead(read int, root *rng.Source) {
 	st := b.pool.Get().(*readScratch)
 	defer b.pool.Put(st)
 	root.SplitInto(&st.rr, uint64(read))
 	// Split never advances rr: dynamics stay fault-independent.
 	st.rr.SplitStringInto(&st.fr, "fault")
 	if b.p.Faults.readTimesOut(&st.fr) {
-		f.timeout = true
-		return false
+		b.faults[read].timeout = true
+		return
 	}
-	prog := b.program(st, &f.drift)
+	prog := b.program(st, &b.faults[read].drift)
 	var probe Probe
 	if b.p.Probe != nil {
 		probe = readProbe{b.p.Probe, read}
 	}
-	b.read(prog, b.p.InitialState, out, &st.rr, probe)
-	if !b.p.NoQuench {
-		prog.Quench(out, st.field)
-	}
-	f.storm = b.p.Faults.storm(out, &st.fr)
-	return true
+	b.read(prog, b.p.InitialState, b.out(read), &st.rr, probe)
+	b.finish(read, prog, st)
 }
 
 // groupReads runs reads [lo, hi) of the batch as one lockstep group
@@ -266,12 +270,9 @@ func (b *batch) oneRead(read int, root *rng.Source, out []int8, f *readFault) (r
 // draws and programming happen in read order exactly as oneRead performs
 // them — only the dynamics are interleaved, and each read's private
 // stream makes that interleaving invisible — so results are bit-identical
-// to the sequential path. post runs once per surviving read, in read
-// order, and owns everything after the dynamics (quench, storm,
-// unembedding, sample capture); timed-out reads are marked in faults and
-// skipped.
-func (b *batch) groupReads(lo, hi int, root *rng.Source, spins []int8, n int,
-	faults []readFault, post func(read int, prog *qubo.CSR, out []int8, st *readScratch)) {
+// to the sequential path. finish runs once per surviving read, in read
+// order; timed-out reads are marked in faults and skipped.
+func (b *batch) groupReads(lo, hi int, root *rng.Source) {
 	var sts [lockstepWidth]*readScratch
 	var group [lockstepWidth]BatchRead
 	var member [lockstepWidth]int
@@ -283,12 +284,12 @@ func (b *batch) groupReads(lo, hi int, root *rng.Source, spins []int8, n int,
 		// Split never advances rr: dynamics stay fault-independent.
 		st.rr.SplitStringInto(&st.fr, "fault")
 		if b.p.Faults.readTimesOut(&st.fr) {
-			faults[read].timeout = true
+			b.faults[read].timeout = true
 			continue
 		}
 		group[ng] = BatchRead{
-			Prog: b.program(st, &faults[read].drift),
-			Out:  spins[read*n : (read+1)*n],
+			Prog: b.program(st, &b.faults[read].drift),
+			Out:  b.out(read),
 			Rng:  &st.rr,
 		}
 		member[ng] = read
@@ -299,11 +300,37 @@ func (b *batch) groupReads(lo, hi int, root *rng.Source, spins []int8, n int,
 	}
 	for k := 0; k < ng; k++ {
 		read := member[k]
-		post(read, group[k].Prog, group[k].Out, sts[read-lo])
+		b.finish(read, group[k].Prog, sts[read-lo])
 	}
 	for j := lo; j < hi; j++ {
 		b.pool.Put(sts[j-lo])
 	}
+}
+
+// finish owns everything after one read's dynamics: quench, storm,
+// unembedding and sample capture. prog is the problem the read actually
+// ran against.
+func (b *batch) finish(read int, prog *qubo.CSR, st *readScratch) {
+	out := b.out(read)
+	sample := out
+	if b.emb != nil {
+		// Chain breakage is counted on the RAW engine output — the state
+		// the device's readout would see — before the quench heals chains
+		// on the way to the reported basin, and before any storm corrupts
+		// the physical readout (which majority-vote unembedding then
+		// partially heals).
+		n := b.is.N
+		sample = b.logSpins[read*n : (read+1)*n]
+		b.broken[read] = b.emb.UnembedInto(sample, out)
+	}
+	if !b.p.NoQuench {
+		prog.Quench(out, st.field)
+	}
+	b.faults[read].storm = b.p.Faults.storm(out, &st.fr)
+	if b.emb != nil {
+		b.emb.UnembedInto(sample, out)
+	}
+	b.samples[read] = qubo.Sample{Spins: sample, Energy: b.is.Energy(sample)}
 }
 
 // groupCount returns the number of lockstep groups covering n reads.
@@ -312,7 +339,7 @@ func groupCount(n int) int { return (n + lockstepWidth - 1) / lockstepWidth }
 // Run draws reads from the simulated annealer for a logical (all-to-all
 // capable) problem. The problem is normalized to the device coefficient
 // range for the dynamics; reported energies are in the caller's original
-// scale.
+// scale. It is a one-shot lease: NewLease, then one compile and one batch.
 //
 // The hot path is compiled once per batch: the normalized problem becomes
 // a flat CSR view shared read-only by every read, the engine precomputes
@@ -325,34 +352,30 @@ func groupCount(n int) int { return (n + lockstepWidth - 1) / lockstepWidth }
 // programming fails or every read is lost; surviving soft faults are
 // reported in Result.Faults.
 func Run(is *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
-	p, err := p.withDefaults()
+	l, err := NewLease(p)
 	if err != nil {
 		return nil, err
 	}
-	return runLogical(is, p, nil, nil, r)
+	return l.runOnce(is, r)
 }
 
-// runLogical is the shared logical-problem body behind Run and
-// Lease.Run: pre-flight checks, the programming-fault draw, the CSR
-// compile, and the read loop. A non-nil read skips Engine.Prepare (the
-// lease compiled it already, along with the optional lockstep bread);
-// p must have passed withDefaults.
-func runLogical(is *qubo.Ising, p Params, read ReadFunc, bread BatchReadFunc, r *rng.Source) (*Result, error) {
-	if is.N == 0 {
-		return nil, fmt.Errorf("annealer: empty problem")
-	}
-	pr := qubo.NewCSR(is)
-	pr.Normalize()
-	return runLogicalCompiled(is, pr, p, read, bread, r)
-}
-
-// runLogicalCompiled runs a batch whose CSR compile already happened —
-// either just now (runLogical) or once, cached, via Lease.RunPrepared.
-// pr must be the normalized CSR of is; it is only read, never written,
-// so one compiled problem may serve concurrent calls.
-func runLogicalCompiled(is *qubo.Ising, pr *qubo.CSR, p Params, read ReadFunc, bread BatchReadFunc, r *rng.Source) (*Result, error) {
-	if p.Schedule.StartsClassical() && len(p.InitialState) != is.N {
-		return nil, fmt.Errorf("annealer: reverse anneal needs an initial state of %d spins, got %d", is.N, len(p.InitialState))
+// run is the one anneal batch body behind every entry point: the
+// reverse-anneal state check, the programming-fault draw, the read loop
+// and the batch summary, against a problem compiled for this lease. The
+// embedded (prep.emb != nil) and logical paths differ only in the
+// embedding of the initial state, the per-read unembedding and the
+// broken-chain rate. p must be the lease's validated Params with the
+// per-call initial state and read count applied. prep is only read, so
+// one compiled problem may serve concurrent calls.
+func (l *Lease) run(prep *Prepared, p Params, r *rng.Source) (*Result, error) {
+	is, emb := prep.is, prep.emb
+	if p.Schedule.StartsClassical() {
+		if len(p.InitialState) != is.N {
+			return nil, fmt.Errorf("annealer: reverse anneal needs an initial state of %d spins, got %d", is.N, len(p.InitialState))
+		}
+		if emb != nil {
+			p.InitialState = emb.EmbedSpins(p.InitialState)
+		}
 	}
 	// Batch-level fault: the device rejects the programming cycle. Drawn
 	// from a dedicated split so the per-read streams below are untouched.
@@ -360,54 +383,36 @@ func runLogicalCompiled(is *qubo.Ising, pr *qubo.CSR, p Params, read ReadFunc, b
 		p.emitHardFault(FaultProgramming)
 		return nil, &FaultError{Kind: FaultProgramming}
 	}
-	var b *batch
-	if read != nil {
-		b = newPreparedBatch(p, pr, read, bread)
-	} else {
-		var err error
-		b, err = newBatch(p, pr)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{ScheduleDuration: p.Schedule.Duration()}
-	samples := make([]qubo.Sample, p.NumReads)
-	faults := make([]readFault, p.NumReads)
-	// One flat spin block backs every sample, so the batch performs O(1)
-	// allocations regardless of NumReads.
-	spins := make([]int8, p.NumReads*is.N)
+	b := newBatch(p, prep, l.read, l.bread)
+	reads := p.NumReads
 	if b.bread != nil && p.Probe == nil {
 		// Lockstep path: reads advance through the sweep program in groups
 		// of lockstepWidth; per-read streams keep the outcome bit-identical
 		// to the sequential loop below (TestLockstepMatchesSequential).
-		finish := func(read int, prog *qubo.CSR, out []int8, st *readScratch) {
-			if !p.NoQuench {
-				prog.Quench(out, st.field)
-			}
-			faults[read].storm = p.Faults.storm(out, &st.fr)
-			samples[read] = qubo.Sample{Spins: out, Energy: is.Energy(out)}
-		}
-		parallelFor(groupCount(p.NumReads), p.Parallelism, func(g int) {
-			lo, hi := g*lockstepWidth, (g+1)*lockstepWidth
-			if hi > p.NumReads {
-				hi = p.NumReads
-			}
-			b.groupReads(lo, hi, r, spins, is.N, faults, finish)
+		parallelFor(groupCount(reads), p.Parallelism, func(g int) {
+			b.groupReads(g*lockstepWidth, min((g+1)*lockstepWidth, reads), r)
 		})
 	} else {
-		parallelFor(p.NumReads, p.Parallelism, func(read int) {
-			out := spins[read*is.N : (read+1)*is.N]
-			if b.oneRead(read, r, out, &faults[read]) {
-				samples[read] = qubo.Sample{Spins: out, Energy: is.Energy(out)}
-			}
-		})
+		parallelFor(reads, p.Parallelism, func(read int) { b.oneRead(read, r) })
 	}
-	res.Samples, res.Faults = compactReads(samples, faults)
-	res.TotalAnnealTime = float64(p.NumReads) * res.ScheduleDuration
-	p.emitBatchTelemetry(res, faults)
+	res := &Result{ScheduleDuration: p.Schedule.Duration()}
+	res.Samples, res.Faults = compactReads(b.samples, b.faults)
+	res.TotalAnnealTime = float64(reads) * res.ScheduleDuration
+	p.emitBatchTelemetry(res, b.faults)
 	if len(res.Samples) == 0 {
 		p.emitHardFault(FaultAllReadsLost)
 		return nil, &FaultError{Kind: FaultAllReadsLost}
+	}
+	if emb != nil {
+		// Timed-out reads never reach finish, so their count stays 0.
+		totalBroken := 0
+		for _, br := range b.broken {
+			totalBroken += br
+		}
+		res.BrokenChainRate = float64(totalBroken) / float64(len(res.Samples)*is.N)
+		if p.Metrics != nil {
+			p.Metrics.Gauge("annealer_broken_chain_rate").Set(res.BrokenChainRate)
+		}
 	}
 	res.Best = bestSample(res.Samples)
 	return res, nil
@@ -491,169 +496,16 @@ func (q *QPU) ServiceTime(sc *Schedule, numReads int) float64 {
 
 // Run embeds the logical problem onto the smallest sufficient Chimera
 // region (bounded by Grid), anneals the physical problem, and unembeds
-// each read. Sample energies are logical-problem energies.
+// each read. Sample energies are logical-problem energies. It is a
+// one-shot QPU lease: QPU.Lease, then one compile and one batch.
 //
 // Injected faults behave as in the logical Run; chain-break storms corrupt
 // the PHYSICAL readout, so majority-vote unembedding partially heals them
 // — chain redundancy is a storm mitigation the logical path lacks.
 func (q *QPU) Run(logical *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
-	p, err := p.withDefaults()
+	l, err := q.Lease(p)
 	if err != nil {
 		return nil, err
 	}
-	return q.runEmbedded(logical, p, nil, nil, r)
-}
-
-// runEmbedded is the shared embedded-problem body behind QPU.Run and
-// Lease.Run: embedding, pre-flight checks, the programming-fault draw,
-// and the physical read loop with per-read unembedding. A non-nil read
-// skips Engine.Prepare (the lease compiled it already, along with the
-// optional lockstep bread); p must have passed withDefaults.
-func (q *QPU) runEmbedded(logical *qubo.Ising, p Params, read ReadFunc, bread BatchReadFunc, r *rng.Source) (*Result, error) {
-	emb, prPhys, err := q.prepareEmbedded(logical)
-	if err != nil {
-		return nil, err
-	}
-	return q.runEmbeddedCompiled(logical, emb, prPhys, p, read, bread, r)
-}
-
-// prepareEmbedded performs the per-problem compile of the embedded path:
-// clique embedding onto the smallest sufficient Chimera region, chain
-// strength, physical coefficients, CSR compile, normalization. The
-// result depends only on (QPU, problem), so Lease.PrepareProblem caches
-// it across calls.
-func (q *QPU) prepareEmbedded(logical *qubo.Ising) (*chimera.Embedding, *qubo.CSR, error) {
-	if logical.N > q.MaxProblemSize() {
-		return nil, nil, fmt.Errorf("annealer: %d variables exceed QPU clique capacity %d", logical.N, q.MaxProblemSize())
-	}
-	m := chimera.MinGridFor(logical.N)
-	if m > q.Grid {
-		m = q.Grid
-	}
-	graph := chimera.NewGraph(m)
-	emb, err := chimera.EmbedClique(graph, logical.N)
-	if err != nil {
-		return nil, nil, err
-	}
-	cs := q.ChainStrength
-	if cs == 0 {
-		cs = chimera.RecommendedChainStrength(logical)
-	}
-	phys, err := emb.EmbedIsing(logical, cs)
-	if err != nil {
-		return nil, nil, err
-	}
-	prPhys := qubo.NewCSR(phys)
-	prPhys.Normalize()
-	return emb, prPhys, nil
-}
-
-// runEmbeddedCompiled is runEmbedded after the compile: prPhys must be
-// the normalized physical CSR of logical under emb. Like
-// runLogicalCompiled it only reads the compiled artifacts, so a cached
-// (emb, prPhys) pair may serve concurrent calls.
-func (q *QPU) runEmbeddedCompiled(logical *qubo.Ising, emb *chimera.Embedding, prPhys *qubo.CSR,
-	p Params, read ReadFunc, bread BatchReadFunc, r *rng.Source) (*Result, error) {
-	if p.Schedule.StartsClassical() {
-		if len(p.InitialState) != logical.N {
-			return nil, fmt.Errorf("annealer: reverse anneal needs an initial state of %d spins, got %d", logical.N, len(p.InitialState))
-		}
-		p.InitialState = emb.EmbedSpins(p.InitialState)
-	}
-	// The QPU knows its own overheads; fill the span-layout timing model
-	// unless the caller pinned one (telemetry only — results unaffected).
-	if p.Timing == nil {
-		p.Timing = &DeviceTiming{ProgrammingMicros: q.ProgrammingTime, ReadoutMicros: q.ReadoutTime}
-	}
-	if p.Faults.ProgrammingFails(r.SplitString("fault/programming")) {
-		p.emitHardFault(FaultProgramming)
-		return nil, &FaultError{Kind: FaultProgramming}
-	}
-	var b *batch
-	if read != nil {
-		b = newPreparedBatch(p, prPhys, read, bread)
-	} else {
-		var err error
-		b, err = newBatch(p, prPhys)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{ScheduleDuration: p.Schedule.Duration()}
-	samples := make([]qubo.Sample, p.NumReads)
-	faults := make([]readFault, p.NumReads)
-	// Flat blocks back both the physical readout and the unembedded
-	// logical samples — O(1) allocations per batch.
-	physSpins := make([]int8, p.NumReads*prPhys.N)
-	logSpins := make([]int8, p.NumReads*logical.N)
-	// Chain breakage is counted on the RAW engine output — the state the
-	// device's readout would see — before the quench heals chains on the
-	// way to each sample's reported basin, and before any storm.
-	broken := make([]int, p.NumReads)
-	if b.bread != nil && p.Probe == nil {
-		// Lockstep path over the physical problem; mirrors runLogical.
-		finish := func(read int, prog *qubo.CSR, phys []int8, st *readScratch) {
-			logical2 := logSpins[read*logical.N : (read+1)*logical.N]
-			broken[read] = emb.UnembedInto(logical2, phys)
-			if !p.NoQuench {
-				prog.Quench(phys, st.field)
-			}
-			faults[read].storm = p.Faults.storm(phys, &st.fr)
-			emb.UnembedInto(logical2, phys)
-			samples[read] = qubo.Sample{Spins: logical2, Energy: logical.Energy(logical2)}
-		}
-		parallelFor(groupCount(p.NumReads), p.Parallelism, func(g int) {
-			lo, hi := g*lockstepWidth, (g+1)*lockstepWidth
-			if hi > p.NumReads {
-				hi = p.NumReads
-			}
-			b.groupReads(lo, hi, r, physSpins, b.base.N, faults, finish)
-		})
-	} else {
-		parallelFor(p.NumReads, p.Parallelism, func(read int) {
-			phys := physSpins[read*b.base.N : (read+1)*b.base.N]
-			logical2 := logSpins[read*logical.N : (read+1)*logical.N]
-			st := b.pool.Get().(*readScratch)
-			r.SplitInto(&st.rr, uint64(read))
-			st.rr.SplitStringInto(&st.fr, "fault")
-			if b.p.Faults.readTimesOut(&st.fr) {
-				faults[read].timeout = true
-				b.pool.Put(st)
-				return
-			}
-			prog := b.program(st, &faults[read].drift)
-			var probe Probe
-			if p.Probe != nil {
-				probe = readProbe{p.Probe, read}
-			}
-			b.read(prog, p.InitialState, phys, &st.rr, probe)
-			broken[read] = emb.UnembedInto(logical2, phys)
-			if !p.NoQuench {
-				prog.Quench(phys, st.field)
-			}
-			faults[read].storm = p.Faults.storm(phys, &st.fr)
-			emb.UnembedInto(logical2, phys)
-			samples[read] = qubo.Sample{Spins: logical2, Energy: logical.Energy(logical2)}
-			b.pool.Put(st)
-		})
-	}
-	res.Samples, res.Faults = compactReads(samples, faults)
-	res.TotalAnnealTime = float64(p.NumReads) * res.ScheduleDuration
-	p.emitBatchTelemetry(res, faults)
-	if len(res.Samples) == 0 {
-		p.emitHardFault(FaultAllReadsLost)
-		return nil, &FaultError{Kind: FaultAllReadsLost}
-	}
-	totalBroken := 0
-	for read, br := range broken {
-		if !faults[read].timeout {
-			totalBroken += br
-		}
-	}
-	res.BrokenChainRate = float64(totalBroken) / float64(len(res.Samples)*logical.N)
-	if p.Metrics != nil {
-		p.Metrics.Gauge("annealer_broken_chain_rate").Set(res.BrokenChainRate)
-	}
-	res.Best = bestSample(res.Samples)
-	return res, nil
+	return l.runOnce(logical, r)
 }

@@ -186,8 +186,8 @@ func BenchmarkLeasePreparedHit(b *testing.B) {
 }
 
 // BenchmarkLeaseRunUncached is BenchmarkLeasePreparedHit's control: the
-// same embedded batch through Lease.Run, recompiling the problem every
-// call the way a cache miss (or cache-off serve) does.
+// same embedded batch through PrepareProblem + RunPrepared, recompiling
+// the problem every call the way a cache miss does.
 func BenchmarkLeaseRunUncached(b *testing.B) {
 	in, err := instance.Synthesize(instance.Spec{Users: 8, Scheme: modulation.QAM16, Seed: 0xBE9C})
 	if err != nil {
@@ -202,7 +202,11 @@ func BenchmarkLeaseRunUncached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Run(is, nil, 32, rng.New(uint64(i)+1)); err != nil {
+		prep, err := l.PrepareProblem(is)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := l.RunPrepared(prep, nil, 32, rng.New(uint64(i)+1)); err != nil {
 			b.Fatal(err)
 		}
 	}

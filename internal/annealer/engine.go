@@ -20,13 +20,13 @@ import (
 // sweep program — the per-sweep schedule quantities s(t), A(s), B(s) and
 // any engine-specific factors derived from them, which are identical for
 // every read of a batch — and returns the ReadFunc that evolves one read.
-// Run calls Prepare once and fans the ReadFunc out across reads, so the
-// per-sweep trigonometry/transcendentals are paid once per batch instead
-// of once per read.
+// NewLease calls Prepare once and every batch run on the lease fans the
+// ReadFunc out across reads, so the per-sweep trigonometry/transcendentals
+// are paid once per lease instead of once per read.
 //
 // Precondition (validated by the caller, once): the schedule has passed
-// (*Schedule).Validate and the profile (Profile).Validate. Run/QPU.Run
-// establish this in withDefaults before any engine code runs; engines do
+// (*Schedule).Validate and the profile (Profile).Validate. NewLease
+// establishes this in withDefaults before any engine code runs; engines do
 // not re-validate and must not panic on schedule content. The one knob an
 // engine interprets itself — the sweep rate — is checked in Prepare,
 // which returns an error (never panics) for a non-positive rate.

@@ -19,9 +19,10 @@ import (
 // no-op, results are bit-identical at any Parallelism level, and the same
 // seed replays the same faults.
 type FaultModel struct {
-	// ProgrammingFailureRate is the probability one Run/QPU.Run call fails
-	// to program the device at all; the call returns a *FaultError of kind
-	// FaultProgramming before any read is drawn.
+	// ProgrammingFailureRate is the probability one batch (a Run, QPU.Run
+	// or RunPrepared call) fails to program the device at all; the call
+	// returns a *FaultError of kind FaultProgramming before any read is
+	// drawn.
 	ProgrammingFailureRate float64
 	// ReadTimeoutRate is the per-read probability the read times out and
 	// is dropped from Result.Samples.

@@ -1,24 +1,23 @@
 // Device handle / lease API: a Lease pins one device session's validated
 // parameters and the engine's compiled sweep program so a serving layer
 // can run MANY problems through the same device without re-validating or
-// re-running Engine.Prepare per call. Run and QPU.Run pay the Prepare
-// compile (schedule tables, per-sweep transcendentals) once per batch;
-// a lease pays it once per (device, schedule) for an arbitrarily long
-// stream of batches — the amortization a multi-QPU fleet dispatcher
-// needs when frames arrive faster than schedules change.
+// re-running Engine.Prepare per call. Run and QPU.Run are one-shot leases
+// that pay the Prepare compile (schedule tables, per-sweep
+// transcendentals) once per batch; a long-lived lease pays it once per
+// (device, schedule) for an arbitrarily long stream of batches — the
+// amortization a multi-QPU fleet dispatcher needs when frames arrive
+// faster than schedules change.
 package annealer
 
 import (
-	"fmt"
-
 	"repro/internal/qubo"
 	"repro/internal/rng"
 )
 
 // Lease is a prepared session on one simulated device: a validated
 // Params template plus the engine's batch-invariant compiled ReadFunc.
-// A lease is safe for concurrent Run calls — the compiled program is
-// read-only and per-read scratch is pooled per batch — so an execution
+// A lease is safe for concurrent RunPrepared calls — the compiled program
+// is read-only and per-read scratch is pooled per batch — so an execution
 // layer may run batches of the same device on multiple workers.
 type Lease struct {
 	p     Params
@@ -28,8 +27,9 @@ type Lease struct {
 }
 
 // NewLease validates p once, compiles the engine's sweep program, and
-// returns the reusable session. p.InitialState and p.NumReads act as
-// per-call defaults that Run's arguments override; every other field
+// returns the reusable session. It is the only place an engine's sweep
+// program is compiled. p.InitialState and p.NumReads act as per-call
+// defaults that RunPrepared's arguments override; every other field
 // (schedule, engine, profile, noise, fault model, telemetry hooks) is
 // fixed for the lease's lifetime.
 func NewLease(p Params) (*Lease, error) {
@@ -53,55 +53,30 @@ func NewLease(p Params) (*Lease, error) {
 
 // Lease returns a prepared session whose runs take the full hardware
 // path: minor-embedding onto the QPU's Chimera graph, physical anneal,
-// majority-vote unembedding.
+// majority-vote unembedding. The QPU knows its own overheads, so the
+// span-layout timing model defaults to its programming and readout
+// times unless p pins one (telemetry only — results unaffected).
 func (q *QPU) Lease(p Params) (*Lease, error) {
 	l, err := NewLease(p)
 	if err != nil {
 		return nil, err
 	}
 	l.qpu = q
+	if l.p.Timing == nil {
+		l.p.Timing = &DeviceTiming{ProgrammingMicros: q.ProgrammingTime, ReadoutMicros: q.ReadoutTime}
+	}
 	return l, nil
 }
 
 // Schedule returns the anneal program the lease was prepared for.
 func (l *Lease) Schedule() *Schedule { return l.p.Schedule }
 
-// Embedded reports whether runs take the Chimera-embedded QPU path.
-func (l *Lease) Embedded() bool { return l.qpu != nil }
-
-// Faults returns the fault model runs are subject to.
-func (l *Lease) Faults() FaultModel { return l.p.Faults }
-
-// ServiceMicros returns the modelled wall-clock μs one Run call of
-// numReads reads occupies the device: the leased QPU's programming and
-// readout overheads around the anneal time, or the bare anneal time for
-// a logical lease (numReads ≤ 0 uses the lease default).
-func (l *Lease) ServiceMicros(numReads int) float64 {
-	if numReads <= 0 {
-		numReads = l.p.NumReads
+// runOnce compiles is without snapshotting it and runs one batch with the
+// lease's own initial state and read count: the body of Run and QPU.Run.
+func (l *Lease) runOnce(is *qubo.Ising, r *rng.Source) (*Result, error) {
+	prep, err := l.compile(is)
+	if err != nil {
+		return nil, err
 	}
-	if l.qpu != nil {
-		return l.qpu.ServiceTime(l.p.Schedule, numReads)
-	}
-	return float64(numReads) * l.p.Schedule.Duration()
-}
-
-// Run draws numReads reads (≤ 0: the lease default) for one problem,
-// reverse-annealing from init when the leased schedule starts classical.
-// Results are bit-identical to Run/QPU.Run with the same parameters and
-// RNG — the lease only amortizes validation and Prepare, it never
-// changes the dynamics.
-func (l *Lease) Run(is *qubo.Ising, init []int8, numReads int, r *rng.Source) (*Result, error) {
-	p := l.p
-	p.InitialState = init
-	if numReads > 0 {
-		p.NumReads = numReads
-	}
-	if p.NumReads > MaxReads {
-		return nil, fmt.Errorf("annealer: %d reads exceed the per-read stream limit %d", p.NumReads, MaxReads)
-	}
-	if l.qpu != nil {
-		return l.qpu.runEmbedded(is, p, l.read, l.bread, r)
-	}
-	return runLogical(is, p, l.read, l.bread, r)
+	return l.run(&prep, l.p, r)
 }

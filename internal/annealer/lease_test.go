@@ -6,8 +6,19 @@ import (
 
 	"repro/internal/instance"
 	"repro/internal/modulation"
+	"repro/internal/qubo"
 	"repro/internal/rng"
 )
+
+// prepareAndRun is the lease's one serving path for a single problem:
+// compile a snapshot once, then run one batch against it.
+func prepareAndRun(l *Lease, is *qubo.Ising, init []int8, numReads int, r *rng.Source) (*Result, error) {
+	prep, err := l.PrepareProblem(is)
+	if err != nil {
+		return nil, err
+	}
+	return l.RunPrepared(prep, init, numReads, r)
+}
 
 func leaseTestIsing(t *testing.T) *instance.Instance {
 	t.Helper()
@@ -19,7 +30,8 @@ func leaseTestIsing(t *testing.T) *instance.Instance {
 }
 
 // A leased run must be bit-identical to a direct Run with the same
-// parameters and seed — the lease amortizes Prepare, nothing else.
+// parameters and seed — the lease amortizes Prepare and the prepared
+// problem the compile, nothing else.
 func TestLeaseRunMatchesDirectRun(t *testing.T) {
 	in := leaseTestIsing(t)
 	is := in.Reduction.Ising
@@ -45,8 +57,12 @@ func TestLeaseRunMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep, err := lease.PrepareProblem(is)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 2; trial++ {
-		leased, err := lease.Run(is, init, 12, rng.New(7))
+		leased, err := lease.RunPrepared(prep, init, 12, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,10 +93,7 @@ func TestQPULeaseMatchesQPURun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lease.Embedded() {
-		t.Fatal("QPU lease should report embedded")
-	}
-	leased, err := lease.Run(is, nil, 8, rng.New(11))
+	leased, err := prepareAndRun(lease, is, nil, 8, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +126,7 @@ func TestLeaseServesManyProblems(t *testing.T) {
 		for i := range init {
 			init[i] = -1
 		}
-		leased, err := lease.Run(is, init, 6, rng.New(seed))
+		leased, err := prepareAndRun(lease, is, init, 6, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,21 +157,10 @@ func TestLeaseErrorContracts(t *testing.T) {
 	}
 	in := leaseTestIsing(t)
 	is := in.Reduction.Ising
-	if _, err := lease.Run(is, nil, 4, rng.New(1)); err == nil {
+	if _, err := prepareAndRun(lease, is, nil, 4, rng.New(1)); err == nil {
 		t.Fatal("reverse lease without an initial state must fail")
 	}
-	if _, err := lease.Run(is, make([]int8, is.N), MaxReads+1, rng.New(1)); err == nil {
+	if _, err := prepareAndRun(lease, is, make([]int8, is.N), MaxReads+1, rng.New(1)); err == nil {
 		t.Fatal("reads beyond MaxReads must fail")
-	}
-	if got := lease.ServiceMicros(10); got != 10*sc.Duration() {
-		t.Fatalf("logical ServiceMicros = %g, want %g", got, 10*sc.Duration())
-	}
-	q := NewQPU2000Q()
-	ql, err := q.Lease(Params{Schedule: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ql.ServiceMicros(10), q.ServiceTime(sc, 10); got != want {
-		t.Fatalf("QPU ServiceMicros = %g, want %g", got, want)
 	}
 }

@@ -23,9 +23,9 @@ func prepTestProblems(t *testing.T, count int) []*qubo.Ising {
 	return out
 }
 
-// RunPrepared must be bit-identical to Lease.Run — the prepared form
-// only skips the per-call compile — on both the logical and the
-// embedded (QPU) paths, and for repeated runs of one Prepared.
+// RunPrepared must be bit-identical to the one-shot Run/QPU.Run — the
+// prepared form only skips the per-call compile — on both the logical
+// and the embedded (QPU) paths, and for repeated runs of one Prepared.
 func TestRunPreparedMatchesRun(t *testing.T) {
 	is := prepTestProblems(t, 1)[0]
 	sc, err := Reverse(0.45, 1)
@@ -41,19 +41,17 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 		ICE:    ICE{SigmaH: 0.02, SigmaJ: 0.01},
 		Faults: FaultModel{ReadTimeoutRate: 0.1, CalibrationDriftRate: 0.1},
 	}
-	leases := map[string]*Lease{}
-	l, err := NewLease(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leases["logical"] = l
-	if l, err = NewQPU2000Q().Lease(p); err != nil {
-		t.Fatal(err)
-	}
-	leases["embedded"] = l
-	for name, l := range leases {
+	p.InitialState = init
+	for name, q := range map[string]*QPU{"logical": nil, "embedded": NewQPU2000Q()} {
 		t.Run(name, func(t *testing.T) {
-			direct, err := l.Run(is, init, 10, rng.New(3))
+			direct, err := goldenEntries[0].run(q, is, p, rng.New(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := NewLease(p)
+			if q != nil {
+				l, err = q.Lease(p)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +65,7 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(direct.Samples, got.Samples) {
-					t.Fatalf("trial %d: prepared samples diverge from Lease.Run", trial)
+					t.Fatalf("trial %d: prepared samples diverge from the one-shot run", trial)
 				}
 				if direct.Best.Energy != got.Best.Energy || direct.Faults != got.Faults ||
 					direct.BrokenChainRate != got.BrokenChainRate {
@@ -240,7 +238,7 @@ func TestPrepCacheCollisionFallback(t *testing.T) {
 		t.Fatal("collision displaced the resident entry")
 	}
 	// The colliding problem still runs correctly through its fallback.
-	direct, err := l.Run(ps[1], nil, 3, rng.New(5))
+	direct, err := Run(ps[1], Params{Schedule: sc, NumReads: 3, SweepsPerMicrosecond: 30}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

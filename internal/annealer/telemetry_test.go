@@ -8,6 +8,7 @@ package annealer
 // the same number QPU.ServiceTime reports.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -27,33 +28,66 @@ func instrumented(p Params) (Params, *telemetry.Tracer, *telemetry.Registry) {
 
 func TestTracedRunBitIdentical(t *testing.T) {
 	is := frustrated(10, 123)
-	for _, engine := range []Engine{SVMC{}, SVMC{TFMoves: true}, PIMC{}} {
-		for _, par := range []int{1, 4} {
-			sc, _ := Forward(1, 0.41, 1)
-			base := Params{Schedule: sc, NumReads: 16, Engine: engine,
-				SweepsPerMicrosecond: 50, Parallelism: par,
-				Faults: FaultModel{ReadTimeoutRate: 0.1, CalibrationDriftRate: 0.1}}
-			plain, err := Run(is, base, rng.New(7))
-			if err != nil {
-				t.Fatal(err)
-			}
-			traced, tr, reg := instrumented(base)
-			traced.Timing = &DeviceTiming{ProgrammingMicros: 100, ReadoutMicros: 10}
-			got, err := Run(is, traced, rng.New(7))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Samples) != len(plain.Samples) {
-				t.Fatalf("%s par=%d: sample count changed under tracing", engine.Name(), par)
-			}
-			for i := range plain.Samples {
-				if plain.Samples[i].Energy != got.Samples[i].Energy ||
-					!spinsEqual(plain.Samples[i].Spins, got.Samples[i].Spins) {
-					t.Fatalf("%s par=%d: read %d diverged under tracing", engine.Name(), par, i)
+	init := make([]int8, is.N)
+	for i := range init {
+		init[i] = int8(1 - 2*(i%3%2))
+	}
+	fa, _ := Forward(1, 0.41, 1)
+	ra, _ := Reverse(0.45, 1)
+	cases := []struct {
+		name string
+		qpu  *QPU
+		p    Params
+	}{
+		{"logical/fa", nil, Params{Schedule: fa,
+			Faults: FaultModel{ReadTimeoutRate: 0.1, CalibrationDriftRate: 0.1}}},
+		{"embedded/fa", NewQPU2000Q(), Params{Schedule: fa,
+			Faults: FaultModel{ReadTimeoutRate: 0.1, CalibrationDriftRate: 0.1}}},
+		{"logical/ra+ice+storm", nil, Params{Schedule: ra, InitialState: init, ICE: DWave2000QICE(),
+			Faults: FaultModel{ReadTimeoutRate: 0.1, ChainBreakStormRate: 0.3, CalibrationDriftRate: 0.1}}},
+		{"embedded/ra+ice+storm", NewQPU2000Q(), Params{Schedule: ra, InitialState: init, ICE: DWave2000QICE(),
+			Faults: FaultModel{ReadTimeoutRate: 0.1, ChainBreakStormRate: 0.3, CalibrationDriftRate: 0.1}}},
+	}
+	run := func(q *QPU, p Params) (*Result, error) {
+		if q != nil {
+			return q.Run(is, p, rng.New(7))
+		}
+		return Run(is, p, rng.New(7))
+	}
+	for _, c := range cases {
+		for _, engine := range []Engine{SVMC{}, SVMC{TFMoves: true}, PIMC{}} {
+			for _, par := range []int{1, 4} {
+				name := fmt.Sprintf("%s/%s/par=%d", c.name, engine.Name(), par)
+				base := c.p
+				base.NumReads, base.Engine, base.SweepsPerMicrosecond, base.Parallelism = 16, engine, 50, par
+				plain, err := run(c.qpu, base)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if tr.Len() == 0 || reg.Counter("annealer_reads_issued_total").Value() != 16 {
-				t.Fatalf("%s par=%d: telemetry not actually collected", engine.Name(), par)
+				// The probe forces the one-read path; the plain run takes
+				// the lockstep kernel.
+				traced, tr, reg := instrumented(base)
+				traced.Timing = &DeviceTiming{ProgrammingMicros: 100, ReadoutMicros: 10}
+				got, err := run(c.qpu, traced)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Samples) != len(plain.Samples) {
+					t.Fatalf("%s: sample count changed under tracing", name)
+				}
+				for i := range plain.Samples {
+					if plain.Samples[i].Energy != got.Samples[i].Energy ||
+						!spinsEqual(plain.Samples[i].Spins, got.Samples[i].Spins) {
+						t.Fatalf("%s: read %d diverged under tracing", name, i)
+					}
+				}
+				if got.Faults != plain.Faults || got.BrokenChainRate != plain.BrokenChainRate {
+					t.Fatalf("%s: faults/broken-chain rate diverged under tracing: %+v %g vs %+v %g",
+						name, got.Faults, got.BrokenChainRate, plain.Faults, plain.BrokenChainRate)
+				}
+				if tr.Len() == 0 || reg.Counter("annealer_reads_issued_total").Value() != 16 {
+					t.Fatalf("%s: telemetry not actually collected", name)
+				}
 			}
 		}
 	}

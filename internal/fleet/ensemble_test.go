@@ -79,8 +79,8 @@ func ensembleArtifacts(t testing.TB, workers int, faults bool, prepCache int) (o
 // TestEnsembleDeterminism is the gating regression battery for ensemble
 // serving: fused outcomes and exported traces must be bit-identical at
 // worker counts 1/4/16, with faults off and on, and with the prepared-
-// problem cache on and off — the TestCRANDeterminism pattern one tier
-// down.
+// problem cache at its default and at capacity 1 (always evicting) — the
+// TestCRANDeterminism pattern one tier down.
 func TestEnsembleDeterminism(t *testing.T) {
 	for _, faults := range []bool{false, true} {
 		fname := "faults-off"
@@ -99,8 +99,8 @@ func TestEnsembleDeterminism(t *testing.T) {
 			}{
 				{"workers=4", 4, 64},
 				{"workers=16", 16, 64},
-				{"prep-cache-off", 1, -1},
-				{"workers=16+prep-cache-off", 16, -1},
+				{"prep-cache-1", 1, 1},
+				{"workers=16+prep-cache-1", 16, 1},
 			}
 			for _, tc := range cases {
 				out, trace := ensembleArtifacts(t, tc.workers, faults, tc.prepCache)

@@ -123,6 +123,28 @@ type Device struct {
 	FailAt float64
 }
 
+// lease opens the device's anneal session for one schedule: the Chimera
+// path when the device has a QPU, the logical path otherwise.
+// Programming failures are stripped from the lease's fault model — they
+// are a dispatcher concern, drawn once per programming cycle from the
+// batch's "fault/programming" split so the plan and the execution always
+// agree on a batch's fate; per-read fault classes still apply.
+func (d Device) lease(sc *annealer.Schedule, parallelism int) (*annealer.Lease, error) {
+	p := annealer.Params{
+		Schedule:             sc,
+		Engine:               d.Engine,
+		Profile:              d.Profile,
+		SweepsPerMicrosecond: d.SweepsPerMicrosecond,
+		ICE:                  d.ICE,
+		Faults:               d.Faults.WithoutProgrammingFailures(),
+		Parallelism:          parallelism,
+	}
+	if d.QPU != nil {
+		return d.QPU.Lease(p)
+	}
+	return annealer.NewLease(p)
+}
+
 // PoolDeadAt returns the simulated μs at which the whole pool stops
 // accepting work: the latest FailAt when every device carries one, +Inf
 // when any device never fails, and 0 for an empty pool. The C-RAN shard
@@ -181,11 +203,12 @@ type Config struct {
 	// PrepCacheSize bounds the prepared-problem LRU (annealer.PrepCache)
 	// that reuses each (device lease, problem)'s compiled embedding +
 	// normalized CSR across the run's repeated detection instances
-	// (default 64; −1 disables). The cache is warmed by a
-	// single-threaded pre-pass in planned batch order, so its hit/miss/
-	// eviction sequence — and therefore every answer — is bit-identical
-	// at any worker count; hits only skip recompiling artifacts the
-	// uncached path would rebuild identically.
+	// (default 64; must be ≥ 0, and 1 recompiles whenever consecutive
+	// frames differ). The cache is warmed by a single-threaded pre-pass
+	// in planned batch order, so its hit/miss/eviction sequence — and
+	// therefore every answer — is bit-identical at any worker count and
+	// any capacity; hits only skip recompiling artifacts a miss would
+	// rebuild identically.
 	PrepCacheSize int
 	// ShardLabel, when non-empty, tags every trace record and metric
 	// series this Serve emits with a shard="..." attribute/label. It is
@@ -387,6 +410,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.PrepCacheSize == 0 {
 		cfg.PrepCacheSize = 64
+	}
+	if cfg.PrepCacheSize < 0 {
+		return cfg, fmt.Errorf("fleet: prep cache size %d < 0", cfg.PrepCacheSize)
 	}
 	if cfg.DeviceHealth != nil {
 		if len(cfg.DeviceHealth) != len(cfg.Devices) {
@@ -665,32 +691,13 @@ func (pl *planner) schedule(k schedKey) (*annealer.Schedule, error) {
 }
 
 // lease returns the prepared session for (device, schedule), compiling it
-// on first use. Programming failures are stripped from the lease's fault
-// model: the dispatcher owns that draw (one per programming cycle, from
-// the batch's "fault/programming" split) so the plan and the execution
-// always agree on a batch's fate.
+// on first use.
 func (pl *planner) lease(dev int, k schedKey) (*annealer.Lease, error) {
 	lk := leaseKey{dev, k}
 	if l, ok := pl.leases[lk]; ok {
 		return l, nil
 	}
-	d := pl.cfg.Devices[dev]
-	p := annealer.Params{
-		Schedule:             pl.schedules[k],
-		Engine:               d.Engine,
-		Profile:              d.Profile,
-		SweepsPerMicrosecond: d.SweepsPerMicrosecond,
-		ICE:                  d.ICE,
-		Faults:               d.Faults.WithoutProgrammingFailures(),
-		Parallelism:          1,
-	}
-	var l *annealer.Lease
-	var err error
-	if d.QPU != nil {
-		l, err = d.QPU.Lease(p)
-	} else {
-		l, err = annealer.NewLease(p)
-	}
+	l, err := pl.cfg.Devices[dev].lease(pl.schedules[k], 1)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: device %d: %w", dev, err)
 	}
@@ -1269,31 +1276,29 @@ func (pl *planner) execute(ctx context.Context) error {
 	// pure function of the plan — workers below never touch the cache,
 	// only the per-frame Prepared pointers fixed here. An evicted-then-
 	// reused problem simply compiles again; either way each frame runs
-	// artifacts byte-identical to the uncached compile.
-	if pl.cfg.PrepCacheSize > 0 {
-		cache := annealer.NewPrepCache(pl.cfg.PrepCacheSize)
-		pl.preps = make([]*annealer.Prepared, len(pl.frames))
-		for _, bi := range jobs {
-			b := &pl.batches[bi]
-			if pl.cfg.Devices[b.dev].Backend.Classical() {
-				continue
-			}
-			l := pl.leases[leaseKey{b.dev, b.key}]
-			for _, fi := range b.frames {
-				prep, err := cache.Get(l, pl.frames[fi].req.Problem)
-				if err != nil {
-					return err
-				}
-				pl.preps[fi] = prep
-			}
+	// byte-identical artifacts.
+	cache := annealer.NewPrepCache(pl.cfg.PrepCacheSize)
+	pl.preps = make([]*annealer.Prepared, len(pl.frames))
+	for _, bi := range jobs {
+		b := &pl.batches[bi]
+		if pl.cfg.Devices[b.dev].Backend.Classical() {
+			continue
 		}
-		pl.prepStats = cache.Stats()
-		if pl.cfg.Metrics != nil {
-			pl.cfg.Metrics.Counter("fleet_prep_cache_hits_total", pl.mlabels()...).Add(float64(pl.prepStats.Hits))
-			pl.cfg.Metrics.Counter("fleet_prep_cache_misses_total", pl.mlabels()...).Add(float64(pl.prepStats.Misses))
-			pl.cfg.Metrics.Counter("fleet_prep_cache_evictions_total", pl.mlabels()...).Add(float64(pl.prepStats.Evictions))
-			pl.cfg.Metrics.Counter("fleet_prep_cache_collisions_total", pl.mlabels()...).Add(float64(pl.prepStats.Collisions))
+		l := pl.leases[leaseKey{b.dev, b.key}]
+		for _, fi := range b.frames {
+			prep, err := cache.Get(l, pl.frames[fi].req.Problem)
+			if err != nil {
+				return err
+			}
+			pl.preps[fi] = prep
 		}
+	}
+	pl.prepStats = cache.Stats()
+	if pl.cfg.Metrics != nil {
+		pl.cfg.Metrics.Counter("fleet_prep_cache_hits_total", pl.mlabels()...).Add(float64(pl.prepStats.Hits))
+		pl.cfg.Metrics.Counter("fleet_prep_cache_misses_total", pl.mlabels()...).Add(float64(pl.prepStats.Misses))
+		pl.cfg.Metrics.Counter("fleet_prep_cache_evictions_total", pl.mlabels()...).Add(float64(pl.prepStats.Evictions))
+		pl.cfg.Metrics.Counter("fleet_prep_cache_collisions_total", pl.mlabels()...).Add(float64(pl.prepStats.Collisions))
 	}
 	ch := make(chan int)
 	var wg sync.WaitGroup
@@ -1342,13 +1347,7 @@ func (pl *planner) runBatch(bi int) error {
 		o := &pl.outcomes[fi]
 		key := uint64(f.req.Stream)<<32 | uint64(f.req.Seq)
 		r := rng.New(pl.cfg.Seed).SplitString("fleet/frame").Split(key).Split(uint64(o.Attempts))
-		var res *annealer.Result
-		var err error
-		if pl.preps != nil && pl.preps[fi] != nil {
-			res, err = l.RunPrepared(pl.preps[fi], f.req.InitialState, f.reads, r)
-		} else {
-			res, err = l.Run(f.req.Problem, f.req.InitialState, f.reads, r)
-		}
+		res, err := l.RunPrepared(pl.preps[fi], f.req.InitialState, f.reads, r)
 		initE := f.req.Problem.Energy(f.req.InitialState)
 		if err != nil {
 			if _, ok := annealer.AsFault(err); !ok {

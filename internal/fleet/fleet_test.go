@@ -369,6 +369,7 @@ func TestConfigValidation(t *testing.T) {
 		{Devices: logicalDevices(1), Workers: -1},
 		{Devices: logicalDevices(1), Sp: 2},
 		{Devices: logicalDevices(1), NumReads: -1},
+		{Devices: logicalDevices(1), PrepCacheSize: -1},
 		{Devices: []Device{{SweepsPerMicrosecond: -1}}},
 		{Devices: []Device{{Faults: annealer.FaultModel{ReadTimeoutRate: 2}}}},
 		{Devices: logicalDevices(2), DeviceHealth: []float64{1}},

@@ -68,8 +68,8 @@ type Report struct {
 	P99LatencyMicros  float64 `json:"p99_latency_us"`
 	P99QueueMicros    float64 `json:"p99_queue_us"`
 	DeadlineMissRate  float64 `json:"deadline_miss_rate"`
-	// PrepCache reports the prepared-problem cache's warm-pass counters
-	// (all zero when Config.PrepCacheSize < 0 disabled it).
+	// PrepCache reports the prepared-problem cache's warm-pass counters:
+	// one lookup per annealed frame (classical-backend frames take none).
 	PrepCache annealer.PrepCacheStats `json:"prep_cache"`
 
 	Devices []DeviceStats `json:"devices"`

@@ -44,22 +44,7 @@ func NewSampler(devs []Device, sc *annealer.Schedule, parallelism int) (*Sampler
 	}
 	s := &Sampler{}
 	for i, d := range devs {
-		p := annealer.Params{
-			Schedule:             sc,
-			Engine:               d.Engine,
-			Profile:              d.Profile,
-			SweepsPerMicrosecond: d.SweepsPerMicrosecond,
-			ICE:                  d.ICE,
-			Faults:               d.Faults.WithoutProgrammingFailures(),
-			Parallelism:          parallelism,
-		}
-		var l *annealer.Lease
-		var err error
-		if d.QPU != nil {
-			l, err = d.QPU.Lease(p)
-		} else {
-			l, err = annealer.NewLease(p)
-		}
+		l, err := d.lease(sc, parallelism)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: sampler device %d: %w", i, err)
 		}
@@ -86,5 +71,9 @@ func (s *Sampler) Draw(problem *qubo.Ising, init []int8, reads int, r *rng.Sourc
 	l := s.leases[s.next]
 	s.next = (s.next + 1) % len(s.leases)
 	s.drawn += reads
-	return l.Run(problem, init, reads, r)
+	prep, err := l.PrepareProblem(problem)
+	if err != nil {
+		return nil, err
+	}
+	return l.RunPrepared(prep, init, reads, r)
 }
