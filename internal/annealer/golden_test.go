@@ -27,13 +27,16 @@ type goldenEntry struct {
 	run  func(q *QPU, is *qubo.Ising, p Params, r *rng.Source) (*Result, error)
 }
 
+// oneShot is Run, or QPU.Run when q is set.
+func oneShot(q *QPU, is *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
+	if q != nil {
+		return q.Run(is, p, r)
+	}
+	return Run(is, p, r)
+}
+
 var goldenEntries = []goldenEntry{
-	{"direct", func(q *QPU, is *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
-		if q != nil {
-			return q.Run(is, p, r)
-		}
-		return Run(is, p, r)
-	}},
+	{"direct", oneShot},
 	{"prepared", func(q *QPU, is *qubo.Ising, p Params, r *rng.Source) (*Result, error) {
 		var l *Lease
 		var err error

@@ -44,7 +44,7 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 	p.InitialState = init
 	for name, q := range map[string]*QPU{"logical": nil, "embedded": NewQPU2000Q()} {
 		t.Run(name, func(t *testing.T) {
-			direct, err := goldenEntries[0].run(q, is, p, rng.New(3))
+			direct, err := oneShot(q, is, p, rng.New(3))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,19 +48,13 @@ func TestTracedRunBitIdentical(t *testing.T) {
 		{"embedded/ra+ice+storm", NewQPU2000Q(), Params{Schedule: ra, InitialState: init, ICE: DWave2000QICE(),
 			Faults: FaultModel{ReadTimeoutRate: 0.1, ChainBreakStormRate: 0.3, CalibrationDriftRate: 0.1}}},
 	}
-	run := func(q *QPU, p Params) (*Result, error) {
-		if q != nil {
-			return q.Run(is, p, rng.New(7))
-		}
-		return Run(is, p, rng.New(7))
-	}
 	for _, c := range cases {
 		for _, engine := range []Engine{SVMC{}, SVMC{TFMoves: true}, PIMC{}} {
 			for _, par := range []int{1, 4} {
 				name := fmt.Sprintf("%s/%s/par=%d", c.name, engine.Name(), par)
 				base := c.p
 				base.NumReads, base.Engine, base.SweepsPerMicrosecond, base.Parallelism = 16, engine, 50, par
-				plain, err := run(c.qpu, base)
+				plain, err := oneShot(c.qpu, is, base, rng.New(7))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +62,7 @@ func TestTracedRunBitIdentical(t *testing.T) {
 				// the lockstep kernel.
 				traced, tr, reg := instrumented(base)
 				traced.Timing = &DeviceTiming{ProgrammingMicros: 100, ReadoutMicros: 10}
-				got, err := run(c.qpu, traced)
+				got, err := oneShot(c.qpu, is, traced, rng.New(7))
 				if err != nil {
 					t.Fatal(err)
 				}
