@@ -18,15 +18,27 @@ func allocTestIsing(t *testing.T) *qubo.Ising {
 	return in.Reduction.Ising
 }
 
+// skipUnderRace skips an allocation pin when the race detector is on:
+// its sync.Pool drops a random share of Puts, so pooled scratch is
+// re-allocated at random and the count is not a property of the code.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are random under the race detector (sync.Pool drops Puts)")
+	}
+}
+
 // TestRunBatchAllocs pins the steady-state allocation count of a full
-// 32-read Run on the benchmark workload. The lockstep batch kernel
-// shares one pooled struct-of-arrays scratch across all 32 reads, so
-// the remaining allocations are the returned samples plus a handful of
-// compile-time slices — measured at 72. The bound leaves headroom for
-// runtime jitter but fails loudly if per-read allocation creeps back in
-// (the pre-batch code cost 556 allocs/op; see BenchmarkRun's committed
-// baseline).
+// 32-read Run on the benchmark workload. The lockstep batch kernel and
+// the per-read working sets draw their scratch from package-level pools
+// that outlive the one-shot lease, so the remaining allocations are the
+// returned samples, the batch's output blocks and a handful of
+// compile-time slices — measured at 33. The bound leaves ≈2× headroom
+// for runtime jitter but fails loudly if per-read or per-lease scratch
+// allocation creeps back in (the pre-batch code cost 556 allocs/op, and
+// per-lease pools 72; see BenchmarkRun's committed baseline).
 func TestRunBatchAllocs(t *testing.T) {
+	skipUnderRace(t)
 	is := allocTestIsing(t)
 	fa, _ := Forward(1, 0.41, 1)
 	p := Params{Schedule: fa, NumReads: 32, SweepsPerMicrosecond: 30}
@@ -40,19 +52,20 @@ func TestRunBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 110 {
-		t.Errorf("32-read Run allocates %.0f objects, want ≤ 110 (steady state is ~72)", got)
+	if got > 66 {
+		t.Errorf("32-read Run allocates %.0f objects, want ≤ 66 (steady state is ~33)", got)
 	}
 }
 
 // TestRunPreparedCacheHitAllocs pins what a cache-hit serve costs on the
 // embedded path: RunPrepared against an already-compiled Prepared skips
 // clique embedding, chain-strength scan, physical coefficient layout and
-// CSR normalization, leaving ~34 allocations versus ~4100 for an
+// CSR normalization, leaving ~14 allocations versus ~4100 for an
 // uncached PrepareProblem + RunPrepared of the same batch. Both sides
 // are pinned so the cache's value and the hit path's cost are each
 // guarded.
 func TestRunPreparedCacheHitAllocs(t *testing.T) {
+	skipUnderRace(t)
 	is := allocTestIsing(t)
 	fa, _ := Forward(1, 0.41, 1)
 	p := Params{Schedule: fa, NumReads: 32, SweepsPerMicrosecond: 30}
@@ -74,8 +87,8 @@ func TestRunPreparedCacheHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if hit > 64 {
-		t.Errorf("cache-hit RunPrepared allocates %.0f objects, want ≤ 64 (steady state is ~34)", hit)
+	if hit > 28 {
+		t.Errorf("cache-hit RunPrepared allocates %.0f objects, want ≤ 28 (steady state is ~14)", hit)
 	}
 	uncached := testing.AllocsPerRun(10, func() {
 		seed++

@@ -162,26 +162,31 @@ func compactReads(samples []qubo.Sample, faults []readFault) ([]qubo.Sample, Fau
 	return kept, stats
 }
 
-// readScratch is the per-read working set that survives between reads of
-// a batch: the RNG streams (split in place instead of allocated), the
-// coefficient clone that per-read noise is programmed into, and the
-// quench's local-field buffer.
+// readScratch is the per-read working set that survives between reads:
+// the RNG streams (split in place instead of allocated), the coefficient
+// clone that per-read noise is programmed into, and the quench's
+// local-field buffer. It lives in one package-level pool shared by every
+// batch, lease and problem, so it carries no problem shape of its own:
+// scratch sizes the field to the batch's problem, and program re-shapes
+// the clone to the batch's base CSR (CopyCoeffsFrom adopts its topology).
 type readScratch struct {
 	rr, fr rng.Source
-	prog   *qubo.CSR // lazily cloned from the batch base on first use
+	prog   qubo.CSR
 	field  []float64
 }
 
+var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
+
 // batch is one run's working state: the base CSR problem every read
-// programs from, the lease's compiled ReadFunc, the scratch pool that
-// makes steady-state reads allocation-free, and the flat per-read output
-// blocks — O(1) allocations per batch regardless of NumReads.
+// programs from, the lease's compiled ReadFunc and the flat per-read
+// output blocks — O(1) allocations per batch regardless of NumReads.
+// Per-read scratch comes from readScratchPool, so steady-state reads
+// allocate nothing.
 type batch struct {
 	p     Params
 	base  *qubo.CSR
 	read  ReadFunc
 	bread BatchReadFunc // lockstep kernel; nil when the engine has none
-	pool  sync.Pool
 
 	is      *qubo.Ising        // the problem samples are reported in
 	emb     *chimera.Embedding // nil on the logical path
@@ -205,10 +210,24 @@ func newBatch(p Params, prep *Prepared, read ReadFunc, bread BatchReadFunc) *bat
 		b.logSpins = make([]int8, p.NumReads*b.is.N)
 		b.broken = make([]int, p.NumReads)
 	}
-	b.pool.New = func() any {
-		return &readScratch{field: make([]float64, base.N)}
-	}
 	return b
+}
+
+// scratch takes a read's working set from the shared pool, with its
+// quench field sized to the batch's problem.
+func (b *batch) scratch() *readScratch {
+	st := readScratchPool.Get().(*readScratch)
+	st.field = resize(st.field, b.base.N)
+	return st
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short: how the package-level scratch pools serve problems of any size.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // program returns the problem read should run against: the shared base
@@ -222,19 +241,15 @@ func (b *batch) program(st *readScratch, drifted *bool) *qubo.CSR {
 	if !ice.enabled() && !*drifted {
 		return b.base
 	}
-	if st.prog == nil {
-		st.prog = b.base.CloneCoeffs()
-	} else {
-		st.prog.CopyCoeffsFrom(b.base)
-	}
+	st.prog.CopyCoeffsFrom(b.base)
 	if ice.enabled() {
-		applyGaussianCSR(st.prog, ice.SigmaH, ice.SigmaJ, &st.rr)
+		applyGaussianCSR(&st.prog, ice.SigmaH, ice.SigmaJ, &st.rr)
 	}
 	if *drifted {
 		sigma := b.p.Faults.driftSigma()
-		applyGaussianCSR(st.prog, sigma, sigma, &st.fr)
+		applyGaussianCSR(&st.prog, sigma, sigma, &st.fr)
 	}
-	return st.prog
+	return &st.prog
 }
 
 // out returns read's slice of the engine readout block.
@@ -247,8 +262,8 @@ func (b *batch) out(read int) []int8 {
 // ReadFunc: stream derivation, fault draws, programming, dynamics, then
 // finish. A timed-out read is marked in faults and skips finish.
 func (b *batch) oneRead(read int, root *rng.Source) {
-	st := b.pool.Get().(*readScratch)
-	defer b.pool.Put(st)
+	st := b.scratch()
+	defer readScratchPool.Put(st)
 	root.SplitInto(&st.rr, uint64(read))
 	// Split never advances rr: dynamics stay fault-independent.
 	st.rr.SplitStringInto(&st.fr, "fault")
@@ -278,7 +293,7 @@ func (b *batch) groupReads(lo, hi int, root *rng.Source) {
 	var member [lockstepWidth]int
 	ng := 0
 	for read := lo; read < hi; read++ {
-		st := b.pool.Get().(*readScratch)
+		st := b.scratch()
 		sts[read-lo] = st
 		root.SplitInto(&st.rr, uint64(read))
 		// Split never advances rr: dynamics stay fault-independent.
@@ -303,7 +318,7 @@ func (b *batch) groupReads(lo, hi int, root *rng.Source) {
 		b.finish(read, group[k].Prog, sts[read-lo])
 	}
 	for j := lo; j < hi; j++ {
-		b.pool.Put(sts[j-lo])
+		readScratchPool.Put(sts[j-lo])
 	}
 }
 

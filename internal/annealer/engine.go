@@ -48,8 +48,8 @@ type Engine interface {
 // dynamics (the probe sees state, it does not touch the RNG).
 //
 // ReadFuncs are safe for concurrent use: compiled state is read-only and
-// per-read scratch is pooled internally, so steady-state reads allocate
-// nothing.
+// per-read scratch comes from a package-level pool shared by every lease
+// and problem size, so steady-state reads allocate nothing.
 type ReadFunc func(pr *qubo.CSR, init []int8, out []int8, r *rng.Source, probe Probe)
 
 // BatchRead describes one resident read of a lockstep group: the compiled
@@ -79,7 +79,9 @@ type BatchRead struct {
 // init is the shared programmed initial state (schedules starting at
 // s = 1); probes are not supported — probed runs take the sequential
 // reference path. BatchReadFuncs are safe for concurrent use: group
-// scratch is pooled internally.
+// scratch comes from a package-level pool, re-sliced to each group's
+// read count and problem size, so concurrent groups of one lease (or of
+// different leases and problems) never share it.
 type BatchReadFunc func(init []int8, reads []BatchRead)
 
 // BatchEngine is implemented by engines that provide a lockstep

@@ -16,9 +16,11 @@ import (
 
 // Lease is a prepared session on one simulated device: a validated
 // Params template plus the engine's batch-invariant compiled ReadFunc.
-// A lease is safe for concurrent RunPrepared calls — the compiled program
-// is read-only and per-read scratch is pooled per batch — so an execution
-// layer may run batches of the same device on multiple workers.
+// A lease is safe for concurrent RunPrepared calls, on one Prepared or
+// many: the compiled program and prepared problems are read-only, and
+// per-read scratch comes from package-level pools that outlive every
+// batch and lease. An execution layer may therefore run the frames of
+// one batch on several workers at once (internal/fleet does).
 type Lease struct {
 	p     Params
 	read  ReadFunc

@@ -72,11 +72,12 @@ func (e PIMC) temporalCoupling(beta, a float64, p int) float64 {
 	return k
 }
 
-// pimcScratch is one read's working state, pooled per batch. The replica
-// matrix is stored n-major — spin i of slice k lives at replicaFlat[i*p+k]
-// — so the three slice values a Metropolis proposal touches (current,
-// imaginary-time neighbours k±1) sit in the same 16-byte block instead of
-// three cache lines P·N bytes apart. The field matrix stays k-major
+// pimcScratch is one read's working state, pooled package-wide (any
+// lease, Trotter number or problem size: ensure re-slices it per read).
+// The replica matrix is stored n-major — spin i of slice k lives at
+// replicaFlat[i*p+k] — so the three slice values a Metropolis proposal
+// touches (current, imaginary-time neighbours k±1) sit in the same
+// 16-byte block instead of three cache lines P·N bytes apart. The field matrix stays k-major
 // because the accept path streams a whole row of slice k's fields.
 type pimcScratch struct {
 	replicaFlat []int8    // n-major: spin i of slice k at [i*p+k]
@@ -87,22 +88,29 @@ type pimcScratch struct {
 }
 
 func (sc *pimcScratch) ensure(p, n int) {
-	if cap(sc.replicaFlat) < p*n || len(sc.fields) != p || len(sc.fields[0]) != n {
-		sc.replicaFlat = make([]int8, p*n)
-		sc.fieldFlat = make([]float64, p*n)
-		sc.fields = make([][]float64, p)
-		for k := 0; k < p; k++ {
-			sc.fields[k] = sc.fieldFlat[k*n : (k+1)*n]
-		}
-		sc.energies = make([]float64, p)
-		sc.gather = make([]int8, n)
-	}
+	sc.replicaFlat = resize(sc.replicaFlat, p*n)
+	sc.fieldFlat, sc.fields = sliceRows(sc.fieldFlat, sc.fields, p, n)
+	sc.energies = resize(sc.energies, p)
+	sc.gather = resize(sc.gather, n)
 }
+
+// sliceRows sizes flat to p rows of n values and rows to the p row views
+// into it, reusing both backings when they are large enough.
+func sliceRows(flat []float64, rows [][]float64, p, n int) ([]float64, [][]float64) {
+	flat = resize(flat, p*n)
+	rows = resize(rows, p)
+	for k := range rows {
+		rows[k] = flat[k*n : (k+1)*n]
+	}
+	return flat, rows
+}
+
+var pimcScratchPool = sync.Pool{New: func() any { return new(pimcScratch) }}
 
 // Prepare implements Engine: the per-sweep spatial action factor
 // β·B(s)/2P and clamped temporal coupling K(s) — a tanh+log per sweep —
 // are computed once for the batch instead of once per read, and replica/
-// field scratch is pooled across reads.
+// field scratch comes from pimcScratchPool.
 func (e PIMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (ReadFunc, error) {
 	tab, err := newSweepTable(sc, prof, sweepsPerMicrosecond)
 	if err != nil {
@@ -117,12 +125,11 @@ func (e PIMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) 
 		temporal[i] = e.temporalCoupling(beta, tab.a[i], p)
 	}
 	startsClassical := sc.StartsClassical()
-	pool := &sync.Pool{New: func() any { return new(pimcScratch) }}
 	return func(pr *qubo.CSR, init []int8, out []int8, r *rng.Source, probe Probe) {
-		st := pool.Get().(*pimcScratch)
+		st := pimcScratchPool.Get().(*pimcScratch)
 		st.ensure(p, pr.N)
 		pimcRead(pr, tab, spatial, temporal, p, startsClassical, init, out, st, r, probe)
-		pool.Put(st)
+		pimcScratchPool.Put(st)
 	}, nil
 }
 

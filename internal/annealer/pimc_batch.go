@@ -32,16 +32,11 @@ type pimcBatchScratch struct {
 }
 
 func (st *pimcBatchScratch) ensure(p, n int) {
-	if cap(st.spins) < n || len(st.fields) != p || len(st.fields[0]) != n {
-		st.spins = make([]uint64, n)
-		st.fieldFlat = make([]float64, p*n)
-		st.fields = make([][]float64, p)
-		for k := 0; k < p; k++ {
-			st.fields[k] = st.fieldFlat[k*n : (k+1)*n]
-		}
-	}
-	st.spins = st.spins[:n]
+	st.spins = resize(st.spins, n)
+	st.fieldFlat, st.fields = sliceRows(st.fieldFlat, st.fields, p, n)
 }
+
+var pimcBatchScratchPool = sync.Pool{New: func() any { return new(pimcBatchScratch) }}
 
 // PrepareBatch implements BatchEngine: the same compiled sweep program
 // as Prepare, returned with the bit-packed group kernel. With p > 64
@@ -67,14 +62,13 @@ func (e PIMC) PrepareBatch(sc *Schedule, prof Profile, sweepsPerMicrosecond floa
 		temporal[i] = e.temporalCoupling(beta, tab.a[i], p)
 	}
 	startsClassical := sc.StartsClassical()
-	pool := &sync.Pool{New: func() any { return new(pimcBatchScratch) }}
 	batch := func(init []int8, reads []BatchRead) {
+		st := pimcBatchScratchPool.Get().(*pimcBatchScratch)
 		for _, br := range reads {
-			st := pool.Get().(*pimcBatchScratch)
 			st.ensure(p, br.Prog.N)
 			pimcPackedRead(br.Prog, tab, spatial, temporal, p, startsClassical, init, br.Out, st, br.Rng)
-			pool.Put(st)
 		}
+		pimcBatchScratchPool.Put(st)
 	}
 	return read, batch, nil
 }

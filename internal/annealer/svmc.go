@@ -66,7 +66,8 @@ func moveScale(a, b, floor float64) float64 {
 	return s
 }
 
-// svmcScratch is one read's working state, pooled per batch. sinT caches
+// svmcScratch is one read's working state, pooled package-wide (any
+// lease, any problem size: ensure re-slices it per read). sinT caches
 // sin θ_i alongside the cos θ_i cache z, so a proposal evaluates one
 // fused Sincos for the proposed angle instead of three transcendentals.
 type svmcScratch struct {
@@ -75,24 +76,19 @@ type svmcScratch struct {
 }
 
 func (sc *svmcScratch) ensure(n int) {
-	if cap(sc.theta) < n {
-		sc.theta = make([]float64, n)
-		sc.z = make([]float64, n)
-		sc.sinT = make([]float64, n)
-		sc.zField = make([]float64, n)
-		sc.probeSpins = make([]int8, n)
-	}
-	sc.theta = sc.theta[:n]
-	sc.z = sc.z[:n]
-	sc.sinT = sc.sinT[:n]
-	sc.zField = sc.zField[:n]
-	sc.probeSpins = sc.probeSpins[:n]
+	sc.theta = resize(sc.theta, n)
+	sc.z = resize(sc.z, n)
+	sc.sinT = resize(sc.sinT, n)
+	sc.zField = resize(sc.zField, n)
+	sc.probeSpins = resize(sc.probeSpins, n)
 }
+
+var svmcScratchPool = sync.Pool{New: func() any { return new(svmcScratch) }}
 
 // Prepare implements Engine: it compiles the sweep program — s(t), A(s),
 // B(s) and, for TF moves, the per-sweep proposal scale — once for the
 // whole batch, and hands back a read function whose scratch (rotor
-// angles, cos-θ cache, incremental z-field) is pooled across reads.
+// angles, cos-θ cache, incremental z-field) comes from svmcScratchPool.
 func (e SVMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) (ReadFunc, error) {
 	tab, err := newSweepTable(sc, prof, sweepsPerMicrosecond)
 	if err != nil {
@@ -113,12 +109,11 @@ func (e SVMC) Prepare(sc *Schedule, prof Profile, sweepsPerMicrosecond float64) 
 		}
 	}
 	startsClassical := sc.StartsClassical()
-	pool := &sync.Pool{New: func() any { return new(svmcScratch) }}
 	return func(pr *qubo.CSR, init []int8, out []int8, r *rng.Source, probe Probe) {
-		st := pool.Get().(*svmcScratch)
+		st := svmcScratchPool.Get().(*svmcScratch)
 		st.ensure(pr.N)
 		e.read(pr, tab, scale, beta, startsClassical, init, out, st, r, probe)
-		pool.Put(st)
+		svmcScratchPool.Put(st)
 	}, nil
 }
 

@@ -104,6 +104,8 @@ func (st *svmcBatchScratch) ensure(r, n int) {
 	st.args = st.args[:rr/8]
 }
 
+var svmcBatchScratchPool = sync.Pool{New: func() any { return new(svmcBatchScratch) }}
+
 // PrepareBatch implements BatchEngine: the same compiled sweep program as
 // Prepare, returned with both the one-read reference path and the
 // lockstep group kernel over it.
@@ -129,14 +131,13 @@ func (e SVMC) PrepareBatch(sc *Schedule, prof Profile, sweepsPerMicrosecond floa
 		}
 	}
 	startsClassical := sc.StartsClassical()
-	pool := &sync.Pool{New: func() any { return new(svmcBatchScratch) }}
 	batch := func(init []int8, reads []BatchRead) {
 		if len(reads) == 0 {
 			return
 		}
-		st := pool.Get().(*svmcBatchScratch)
+		st := svmcBatchScratchPool.Get().(*svmcBatchScratch)
 		svmcBatchRead(tab, scale, beta, startsClassical, init, reads, st)
-		pool.Put(st)
+		svmcBatchScratchPool.Put(st)
 	}
 	return read, batch, nil
 }

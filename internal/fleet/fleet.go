@@ -14,9 +14,10 @@
 // batch composition, timing figure, shed, trace record, and scheduling
 // metric — timing depends only on modelled service times and pre-drawn
 // programming faults, never on anneal results. The EXECUTE phase then runs
-// the planned anneal batches on Config.Workers goroutines; each frame's
-// RNG stream derives from (Seed, stream, seq, attempt) fixed by the plan,
-// so outcomes and exported traces are bit-identical for any worker count.
+// the planned batches' frames, one frame per job, on Config.Workers
+// goroutines; each frame's RNG stream derives from (Seed, stream, seq,
+// attempt) fixed by the plan, so outcomes and exported traces are
+// bit-identical for any worker count.
 package fleet
 
 import (
@@ -27,6 +28,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/annealer"
 	"repro/internal/core"
@@ -198,7 +200,8 @@ type Config struct {
 	// Seed roots every RNG stream in the run.
 	Seed uint64
 	// Workers is the execute-phase goroutine count (default
-	// min(GOMAXPROCS, 8)). It cannot affect results.
+	// min(GOMAXPROCS, 8)). Workers claim single frames, not batches, so
+	// one batch's frames can use every worker. It cannot affect results.
 	Workers int
 	// PrepCacheSize bounds the prepared-problem LRU (annealer.PrepCache)
 	// that reuses each (device lease, problem)'s compiled embedding +
@@ -563,7 +566,6 @@ type planner struct {
 
 	schedules map[schedKey]*annealer.Schedule
 	leases    map[leaseKey]*annealer.Lease
-	preps     []*annealer.Prepared // per frame, filled by the execute pre-pass
 	prepStats annealer.PrepCacheStats
 
 	retries int
@@ -1249,48 +1251,56 @@ func (pl *planner) complete(batchID int) {
 	}
 }
 
-// execute runs every planned (non-faulted) batch's anneals on
-// cfg.Workers goroutines. Each frame's RNG derives from plan-fixed keys,
-// so the worker count cannot change any answer.
+// frameJob is the execute phase's unit of work: one frame of a planned,
+// non-faulted batch, with the device that serves it and — on anneal
+// backends — the lease and prepared problem the pre-pass fixed for it.
+type frameJob struct {
+	fi   int
+	dev  int
+	l    *annealer.Lease    // nil on classical backends
+	prep *annealer.Prepared // nil on classical backends
+}
+
+// execute runs every planned (non-faulted) batch's frames on cfg.Workers
+// goroutines. The frame, not the batch, is the unit of work: workers
+// claim the next frame of one flat, plan-ordered job list through an
+// atomic cursor, so the frames of one batch run concurrently on the
+// batch's lease and a long batch cannot leave a core idle at the end of
+// the phase. Each frame's RNG derives from plan-fixed keys, so neither
+// the worker count nor the claim order can change any answer.
 func (pl *planner) execute(ctx context.Context) error {
-	var jobs []int
-	for i := range pl.batches {
-		if !pl.batches[i].faulted {
-			jobs = append(jobs, i)
-		}
-	}
-	// Compile every lease up front (deterministic order, fail fast).
-	// Classical backends run without leases — their solvers need no
-	// compiled embedding or schedule.
-	for _, bi := range jobs {
-		b := &pl.batches[bi]
-		if pl.cfg.Devices[b.dev].Backend.Classical() {
-			continue
-		}
-		if _, err := pl.lease(b.dev, b.key); err != nil {
-			return err
-		}
-	}
-	// Prepared-problem pre-pass: warm the cache single-threaded in
-	// planned batch order, so the LRU's hit/miss/eviction sequence is a
-	// pure function of the plan — workers below never touch the cache,
-	// only the per-frame Prepared pointers fixed here. An evicted-then-
-	// reused problem simply compiles again; either way each frame runs
-	// byte-identical artifacts.
+	// Prepared-problem pre-pass: compile each (device, schedule) lease on
+	// first use and warm the cache single-threaded in planned batch
+	// order, so the LRU's hit/miss/eviction sequence is a pure function
+	// of the plan — workers below never touch the cache, only the
+	// per-frame Prepared pointers fixed here. An evicted-then-reused
+	// problem simply compiles again; either way each frame runs
+	// byte-identical artifacts. Classical backends run without leases —
+	// their solvers need no compiled embedding or schedule.
 	cache := annealer.NewPrepCache(pl.cfg.PrepCacheSize)
-	pl.preps = make([]*annealer.Prepared, len(pl.frames))
-	for _, bi := range jobs {
-		b := &pl.batches[bi]
-		if pl.cfg.Devices[b.dev].Backend.Classical() {
+	var jobs []frameJob
+	for i := range pl.batches {
+		b := &pl.batches[i]
+		if b.faulted {
 			continue
 		}
-		l := pl.leases[leaseKey{b.dev, b.key}]
-		for _, fi := range b.frames {
-			prep, err := cache.Get(l, pl.frames[fi].req.Problem)
-			if err != nil {
+		var l *annealer.Lease
+		if !pl.cfg.Devices[b.dev].Backend.Classical() {
+			var err error
+			if l, err = pl.lease(b.dev, b.key); err != nil {
 				return err
 			}
-			pl.preps[fi] = prep
+		}
+		for _, fi := range b.frames {
+			j := frameJob{fi: fi, dev: b.dev, l: l}
+			if l != nil {
+				prep, err := cache.Get(l, pl.frames[fi].req.Problem)
+				if err != nil {
+					return err
+				}
+				j.prep = prep
+			}
+			jobs = append(jobs, j)
 		}
 	}
 	pl.prepStats = cache.Stats()
@@ -1300,7 +1310,7 @@ func (pl *planner) execute(ctx context.Context) error {
 		pl.cfg.Metrics.Counter("fleet_prep_cache_evictions_total", pl.mlabels()...).Add(float64(pl.prepStats.Evictions))
 		pl.cfg.Metrics.Counter("fleet_prep_cache_collisions_total", pl.mlabels()...).Add(float64(pl.prepStats.Collisions))
 	}
-	ch := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -1311,99 +1321,77 @@ func (pl *planner) execute(ctx context.Context) error {
 		}
 		mu.Unlock()
 	}
-	for w := 0; w < pl.cfg.Workers; w++ {
+	for w := 0; w < min(pl.cfg.Workers, len(jobs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for bi := range ch {
-				if ctx.Err() != nil {
-					fail(ctx.Err())
-					continue
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
 				}
-				if err := pl.runBatch(bi); err != nil {
+				if err := ctx.Err(); err != nil {
+					fail(err)
+					return
+				}
+				if err := pl.runFrame(jobs[i]); err != nil {
 					fail(err)
 				}
 			}
 		}()
 	}
-	for _, bi := range jobs {
-		ch <- bi
-	}
-	close(ch)
 	wg.Wait()
 	return firstErr
 }
 
-// runBatch anneals one planned batch's frames through the device lease,
-// or hands the batch to its classical solver.
-func (pl *planner) runBatch(bi int) error {
-	b := &pl.batches[bi]
-	if pl.cfg.Devices[b.dev].Backend.Classical() {
-		return pl.runClassicalBatch(bi)
+// runFrame serves one frame: an anneal through its batch's device lease
+// against the pre-pass's Prepared, or a run of the device's classical
+// solver. Its RNG is keyed by (Seed, stream, seq, attempt), all
+// plan-fixed, and it writes only the frame's own outcome, so frames of
+// one batch may run concurrently.
+func (pl *planner) runFrame(j frameJob) error {
+	f := &pl.frames[j.fi]
+	o := &pl.outcomes[j.fi]
+	key := uint64(f.req.Stream)<<32 | uint64(f.req.Seq)
+	r := rng.New(pl.cfg.Seed).SplitString("fleet/frame").Split(key).Split(uint64(o.Attempts))
+	initE := f.req.Problem.Energy(f.req.InitialState)
+	candidate := func() qubo.Sample {
+		return qubo.Sample{Spins: append([]int8(nil), f.req.InitialState...), Energy: initE}
 	}
-	l := pl.leases[leaseKey{b.dev, b.key}]
-	for _, fi := range b.frames {
-		f := &pl.frames[fi]
-		o := &pl.outcomes[fi]
-		key := uint64(f.req.Stream)<<32 | uint64(f.req.Seq)
-		r := rng.New(pl.cfg.Seed).SplitString("fleet/frame").Split(key).Split(uint64(o.Attempts))
-		res, err := l.RunPrepared(pl.preps[fi], f.req.InitialState, f.reads, r)
-		initE := f.req.Problem.Energy(f.req.InitialState)
-		if err != nil {
-			if _, ok := annealer.AsFault(err); !ok {
-				return err
-			}
-			// A read-level hard fault (all reads lost): the candidate is
-			// still a complete answer — degrade, keep the planned timing.
-			o.Source = core.AnswerClassicalFallback
-			o.Best = qubo.Sample{
-				Spins:  append([]int8(nil), f.req.InitialState...),
-				Energy: initE,
-			}
-			pl.annealStats(f, o, initE, nil)
-			continue
-		}
-		if initE < res.Best.Energy {
-			o.Source = core.AnswerClassicalCandidate
-			o.Best = qubo.Sample{Spins: append([]int8(nil), f.req.InitialState...), Energy: initE}
-		} else {
-			o.Source = core.AnswerQuantum
-			o.Best = res.Best
-		}
-		if f.req.KeepSamples {
-			o.Samples = res.Samples
-		}
-		pl.annealStats(f, o, initE, res)
-	}
-	return nil
-}
-
-// runClassicalBatch serves one planned batch's frames on a classical
-// backend. The RNG keying is identical to the anneal path — (Seed, stream,
-// seq, attempt), all plan-fixed — so the worker count cannot change any
-// answer here either.
-func (pl *planner) runClassicalBatch(bi int) error {
-	b := &pl.batches[bi]
-	d := pl.cfg.Devices[b.dev]
-	for _, fi := range b.frames {
-		f := &pl.frames[fi]
-		o := &pl.outcomes[fi]
-		key := uint64(f.req.Stream)<<32 | uint64(f.req.Seq)
-		r := rng.New(pl.cfg.Seed).SplitString("fleet/frame").Split(key).Split(uint64(o.Attempts))
+	if j.l == nil {
+		d := pl.cfg.Devices[j.dev]
 		best, meanE, err := runClassical(d.Backend, d.Classical, f.req.Problem, f.req.InitialState, f.reads, r)
 		if err != nil {
-			return fmt.Errorf("fleet: device %d (%s): %w", b.dev, d.Backend, err)
+			return fmt.Errorf("fleet: device %d (%s): %w", j.dev, d.Backend, err)
 		}
-		initE := f.req.Problem.Energy(f.req.InitialState)
 		if initE < best.Energy {
-			o.Source = core.AnswerClassicalCandidate
-			o.Best = qubo.Sample{Spins: append([]int8(nil), f.req.InitialState...), Energy: initE}
+			o.Source, o.Best = core.AnswerClassicalCandidate, candidate()
 		} else {
-			o.Source = core.AnswerClassicalSolver
-			o.Best = best
+			o.Source, o.Best = core.AnswerClassicalSolver, best
 		}
 		pl.classicalStats(f, o, initE, meanE, d.Backend)
+		return nil
 	}
+	res, err := j.l.RunPrepared(j.prep, f.req.InitialState, f.reads, r)
+	if err != nil {
+		if _, ok := annealer.AsFault(err); !ok {
+			return err
+		}
+		// A read-level hard fault (all reads lost): the candidate is
+		// still a complete answer — degrade, keep the planned timing.
+		o.Source, o.Best = core.AnswerClassicalFallback, candidate()
+		pl.annealStats(f, o, initE, nil)
+		return nil
+	}
+	if initE < res.Best.Energy {
+		o.Source, o.Best = core.AnswerClassicalCandidate, candidate()
+	} else {
+		o.Source, o.Best = core.AnswerQuantum, res.Best
+	}
+	if f.req.KeepSamples {
+		o.Samples = res.Samples
+	}
+	pl.annealStats(f, o, initE, res)
 	return nil
 }
 

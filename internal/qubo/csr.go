@@ -148,18 +148,21 @@ func (c *CSR) Normalize() float64 {
 // (Offsets, Cols, Mirror) with fresh H/W/Offset storage — the per-read
 // programmable surface for coefficient noise.
 func (c *CSR) CloneCoeffs() *CSR {
-	out := *c
-	out.H = append([]float64(nil), c.H...)
-	out.W = append([]float64(nil), c.W...)
-	return &out
+	out := new(CSR)
+	out.CopyCoeffsFrom(c)
+	return out
 }
 
-// CopyCoeffsFrom resets the coefficients to src's (same topology assumed),
-// reusing the receiver's storage — how pooled clones are re-programmed.
+// CopyCoeffsFrom makes the receiver a coefficient clone of src: it takes
+// src's size and topology arrays and copies src's coefficients into its
+// own H/W storage, growing that storage only when src is larger. A pooled
+// clone may therefore be re-programmed from any problem, not just the
+// one it was first cloned from.
 func (c *CSR) CopyCoeffsFrom(src *CSR) {
-	copy(c.H, src.H)
-	copy(c.W, src.W)
-	c.Offset = src.Offset
+	h, w := c.H, c.W
+	*c = *src
+	c.H = append(h[:0], src.H...)
+	c.W = append(w[:0], src.W...)
 }
 
 // Energy evaluates E(s) for spins in {−1,+1}, counting each undirected

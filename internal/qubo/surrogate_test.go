@@ -199,6 +199,23 @@ func TestCSRCoefficientPooling(t *testing.T) {
 	if got := clone.Energy(spins); got != want {
 		t.Fatalf("CopyCoeffsFrom did not restore energy: %v vs %v", got, want)
 	}
+
+	// Re-programming from a problem of another size and topology adopts
+	// that problem's shape, in both directions.
+	for _, n := range []int{13, 5} {
+		other := qubo.NewCSR(randomDenseIsing(rng.New(uint64(47+n)), n, 0.4))
+		os := make([]int8, n)
+		for i := range os {
+			os[i] = int8(1 - 2*(i%2))
+		}
+		clone.CopyCoeffsFrom(other)
+		if clone.N != n || clone.Energy(os) != other.Energy(os) {
+			t.Fatalf("CopyCoeffsFrom(n=%d) did not re-shape the clone: N=%d", n, clone.N)
+		}
+		if &clone.H[0] == &other.H[0] || &clone.W[0] == &other.W[0] {
+			t.Fatalf("CopyCoeffsFrom(n=%d) aliased the source coefficients", n)
+		}
+	}
 }
 
 // TestClampComplement covers the persistence clamp: the subproblem over

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -22,17 +23,25 @@ type Manifest struct {
 	// GoVersion and GOOS/GOARCH pin the toolchain.
 	GoVersion string `json:"go_version"`
 	Platform  string `json:"platform"`
-	// GitRevision is the VCS commit baked into the binary by `go build`
-	// ("unknown" for `go run` or test binaries); GitModified reports a
-	// dirty working tree.
+	// GitRevision is the VCS commit baked into the binary by `go build`.
+	// Binaries without that stamp (`go run`, test binaries) take it from
+	// $REPRO_GIT_REVISION, else report "unknown". GitModified reports a
+	// dirty working tree (stamped binaries only).
 	GitRevision string `json:"git_revision"`
 	GitModified bool   `json:"git_modified,omitempty"`
 	// StartedAt is the wall-clock start (RFC 3339, UTC).
 	StartedAt string `json:"started_at"`
 }
 
+// GitRevisionEnv names the environment variable that supplies the git
+// revision to binaries built without a VCS stamp; scripts/benchdiff.sh
+// sets it from `git rev-parse HEAD` so benchmark records locate
+// themselves in history.
+const GitRevisionEnv = "REPRO_GIT_REVISION"
+
 // NewManifest builds a manifest for the named tool from the global flag
-// set (call after flag.Parse) and the binary's build info.
+// set (call after flag.Parse) and the binary's build info, falling back
+// to $REPRO_GIT_REVISION for the revision when the binary has none.
 func NewManifest(tool string) *Manifest {
 	m := &Manifest{
 		Tool:        tool,
@@ -54,6 +63,9 @@ func NewManifest(tool string) *Manifest {
 				m.GitModified = s.Value == "true"
 			}
 		}
+	}
+	if rev := os.Getenv(GitRevisionEnv); rev != "" && m.GitRevision == "unknown" {
+		m.GitRevision = rev
 	}
 	return m
 }

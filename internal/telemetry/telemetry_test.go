@@ -249,6 +249,30 @@ func TestNewManifestCapturesFlags(t *testing.T) {
 	}
 }
 
+// A binary without a VCS stamp — a test binary, like this one — takes
+// its revision from $REPRO_GIT_REVISION, and bench records inherit it.
+func TestManifestRevisionFromEnv(t *testing.T) {
+	t.Setenv(GitRevisionEnv, "")
+	if rev := NewManifest("t").GitRevision; rev != "unknown" {
+		t.Skipf("binary carries a VCS stamp (%s)", rev)
+	}
+	t.Setenv(GitRevisionEnv, "0123abc")
+	if rev := NewManifest("t").GitRevision; rev != "0123abc" {
+		t.Fatalf("revision %q, want the environment's 0123abc", rev)
+	}
+	dir := t.TempDir()
+	if err := WriteBenchJSON(dir, BenchRecord{Name: "rev"}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_rev.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"git_revision": "0123abc"`) {
+		t.Fatalf("bench record lacks the revision: %s", data)
+	}
+}
+
 func TestWriteBenchJSON(t *testing.T) {
 	dir := t.TempDir()
 	rec := BenchRecord{Name: "Figure 8/quick", NsPerOp: 1e6, Iterations: 3, Series: "rows"}

@@ -17,6 +17,13 @@ set -eu
 cd "$(dirname "$0")/.."
 BASE_DIR=results/bench
 
+# Test binaries carry no VCS stamp, so hand the fresh records their
+# revision through the variable telemetry.NewManifest falls back to.
+if [ -z "${REPRO_GIT_REVISION:-}" ]; then
+    REPRO_GIT_REVISION=$(git rev-parse HEAD 2>/dev/null || true)
+fi
+export REPRO_GIT_REVISION
+
 if [ $# -ge 1 ]; then
     FRESH_DIR=$1
 else
